@@ -98,6 +98,8 @@ class Header:
     Values are plain ints, range-checked against field widths on set.
     """
 
+    __slots__ = ("type", "_values")
+
     def __init__(self, header_type: HeaderType, values: dict[str, int] | None = None):
         self.type = header_type
         self._values: dict[str, int] = dict(header_type._zero_values)

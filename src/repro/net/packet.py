@@ -37,7 +37,7 @@ def consume_packet_id() -> int:
     return next(_packet_ids)
 
 
-@dataclass
+@dataclass(slots=True)
 class Element:
     """One data element of an array payload: a key and a value.
 

@@ -38,6 +38,7 @@ result — is bit-for-bit identical across backends.
 
 from __future__ import annotations
 
+import gc
 import os
 from heapq import heappop, heappush
 from typing import Any, Callable
@@ -539,7 +540,7 @@ class Simulator:
 
     def at(self, time: float, action: Action, priority: int = 0) -> Event:
         """Schedule ``action`` at absolute time ``time`` (seconds)."""
-        if time < self.now:
+        if not time >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule event at {time} before current time {self.now}"
             )
@@ -547,7 +548,7 @@ class Simulator:
 
     def after(self, delay: float, action: Action, priority: int = 0) -> Event:
         """Schedule ``action`` ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"negative delay {delay}")
         return self.queue.push(self.now + delay, action, priority)
 
@@ -568,14 +569,30 @@ class Simulator:
         registered time probe publishes a ``next_deadline_s()`` the
         probed fast path dispatches uninstrumented *between* deadlines —
         see docs/KERNEL.md for the fast-path discipline.
+
+        Automatic cyclic garbage collection is paused for the drain and
+        restored on exit (a caller that had disabled it keeps it
+        disabled): event actions create no reference cycles, so the
+        collector would only re-traverse the live packet heap — see
+        "Collector policy" in docs/KERNEL.md.
         """
-        if self.trace is None and max_events is None:
-            if self.time_probe is None:
-                return self._run_fast(until)
-            deadline = self._probe_deadline()
-            if deadline is not None:
-                return self._run_fast_probed(until, deadline)
-        return self._run_instrumented(until, max_events)
+        if until is not None and not until >= self.now:  # also rejects NaN
+            raise SimulationError(
+                f"run(until={until}) would move the clock back from {self.now}"
+            )
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            if self.trace is None and max_events is None:
+                if self.time_probe is None:
+                    return self._run_fast(until)
+                deadline = self._probe_deadline()
+                if deadline is not None:
+                    return self._run_fast_probed(until, deadline)
+            return self._run_instrumented(until, max_events)
+        finally:
+            if enabled:
+                gc.enable()
 
     def _run_fast(self, until: float | None) -> int:
         """Uninstrumented dispatch: one combined pop-if-due per event."""

@@ -5,7 +5,8 @@ switch models rely on for reproducibility):
 
 - FIFO tie-breaking: events at equal ``(time, priority)`` dispatch in
   schedule order — the property batched admission leans on;
-- the simulated clock never runs backwards during a drain;
+- the simulated clock never runs backwards, during a drain or through
+  a ``run(until=...)`` bound, and never becomes NaN;
 - ``len()`` tracks live (non-cancelled) events exactly, under lazy
   cancellation, in O(1);
 - ``peek_time`` never resurrects a cancelled event.
@@ -13,11 +14,16 @@ switch models rely on for reproducibility):
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.sim.event import CalendarQueue, EventQueue, Simulator
+
+from .test_kernel_equivalence import GridProbe
 
 BACKENDS = ["heap", "calendar"]
 
@@ -96,6 +102,47 @@ class TestMonotonicClock:
         sim.run()
         assert fired == [1.0, 2.0, 3.0]
         assert sim.now == 3.0
+
+    @pytest.mark.parametrize("loop", ["fast", "probed", "instrumented"])
+    def test_until_before_now_is_rejected(self, backend, loop):
+        sim = Simulator(queue_backend=backend)
+        fired = []
+        sim.at(6.0, lambda: fired.append(6.0))
+        sim.at(9.0, lambda: fired.append(9.0))
+        sim.run(until=6.0)
+        if loop == "probed":
+            sim.add_time_probe(GridProbe(1.0))
+        max_events = 10 if loop == "instrumented" else None
+        with pytest.raises(SimulationError, match="clock back"):
+            sim.run(until=2.0, max_events=max_events)
+        assert sim.now == 6.0
+        assert fired == [6.0]
+        sim.run()
+        assert fired == [6.0, 9.0]
+
+    def test_until_nan_is_rejected(self, backend):
+        sim = Simulator(queue_backend=backend)
+        sim.at(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.run(until=math.nan)
+        assert sim.now == 0.0
+
+    def test_until_equal_to_now_is_a_no_op_advance(self, backend):
+        sim = Simulator(queue_backend=backend)
+        sim.at(2.0, lambda: None)
+        sim.run(until=1.0)
+        assert sim.run(until=1.0) == 0
+        assert sim.now == 1.0
+
+    def test_nan_times_are_rejected(self, backend):
+        sim = Simulator(queue_backend=backend)
+        with pytest.raises(SimulationError):
+            sim.at(math.nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.after(math.nan, lambda: None)
+        assert len(sim.queue) == 0
+        sim.run()
+        assert sim.now == 0.0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
