@@ -108,11 +108,13 @@ class ParameterServerApp(SwitchApp):
         count = ctx.register("agg_cnt", self.vector_elements, width_bits=32)
         num_workers = len(self.worker_ports)
         assert packet.payload is not None
-        for element in packet.payload:
-            total = acc.add(element.key, element.value)
-            seen = count.add(element.key, 1)
-            if seen == num_workers:
-                self._pending[partition].append(Element(element.key, total))
+        keys = [element.key for element in packet.payload]
+        totals = acc.add_many(keys, [element.value for element in packet.payload])
+        seen = count.add_many(keys, [1] * len(keys))
+        pending = self._pending[partition]
+        for key, total, contributions in zip(keys, totals, seen):
+            if contributions == num_workers:
+                pending.append(Element(key, total))
                 self._completed[partition] += 1
 
         emissions = self._drain_emissions(partition)

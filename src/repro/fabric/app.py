@@ -122,13 +122,13 @@ class FabricAggregateApp(SwitchApp):
         )
         workers = len(spec.worker_hosts)
         assert packet.payload is not None
-        for element in packet.payload:
-            total = acc.add(element.key, element.value)
-            seen = count.add(element.key, 1)
-            if seen == workers:
-                self._pending[(coflow_id, partition)].append(
-                    Element(element.key, total)
-                )
+        keys = [element.key for element in packet.payload]
+        totals = acc.add_many(keys, [element.value for element in packet.payload])
+        seen = count.add_many(keys, [1] * len(keys))
+        pending = self._pending[(coflow_id, partition)]
+        for key, total, contributions in zip(keys, totals, seen):
+            if contributions == workers:
+                pending.append(Element(key, total))
                 self._completed[(coflow_id, partition)] += 1
         emissions = self._drain_emissions(coflow_id, partition)
         if emissions and packet.meta.origin_time is not None:

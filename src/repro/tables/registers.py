@@ -9,6 +9,8 @@ max, overwrite).  Values wrap at the cell width, as silicon does.
 
 from __future__ import annotations
 
+from operator import index as _as_int
+
 import numpy as np
 
 from ..errors import ConfigError, TableError
@@ -17,10 +19,12 @@ from ..errors import ConfigError, TableError
 class RegisterArray:
     """A fixed-size array of fixed-width stateful cells.
 
-    Backed by a numpy array for bulk operations (the array MAU reads and
-    writes many cells per cycle).  All single-cell mutators return the
-    post-operation value, matching the "read the new value into the PHV"
-    semantics of register ALUs.
+    Cells are plain Python ints masked to ``width_bits``: the data plane
+    touches a handful of cells per packet, where boxing numpy scalars
+    costs more than the arithmetic.  numpy appears only at the
+    control-plane edge (:meth:`snapshot`, :meth:`load`).  All mutators
+    return the post-operation value as an ``int``, matching the "read the
+    new value into the PHV" semantics of register ALUs.
     """
 
     def __init__(self, name: str, size: int, width_bits: int = 32) -> None:
@@ -34,7 +38,7 @@ class RegisterArray:
         self.size = size
         self.width_bits = width_bits
         self._mask = (1 << width_bits) - 1
-        self._cells = np.zeros(size, dtype=np.uint64)
+        self._cells = [0] * size
         self.reads = 0
         self.writes = 0
 
@@ -54,75 +58,113 @@ class RegisterArray:
                 f"[0, {self.size})"
             )
 
+    def _check_indices(self, indices: list[int]) -> None:
+        size = self.size
+        for index in indices:
+            if not 0 <= index < size:
+                self._check_index(index)
+
     def read(self, index: int) -> int:
         self._check_index(index)
         self.reads += 1
-        return int(self._cells[index])
+        return self._cells[index]
 
     def write(self, index: int, value: int) -> int:
         self._check_index(index)
         self.writes += 1
-        self._cells[index] = np.uint64(value & self._mask)
-        return int(self._cells[index])
+        new = _as_int(value) & self._mask
+        self._cells[index] = new
+        return new
 
     def add(self, index: int, value: int) -> int:
         """Wrapping add; returns the new value."""
         self._check_index(index)
         self.reads += 1
         self.writes += 1
-        new = (int(self._cells[index]) + value) & self._mask
-        self._cells[index] = np.uint64(new)
+        new = (self._cells[index] + _as_int(value)) & self._mask
+        self._cells[index] = new
         return new
 
     def merge_min(self, index: int, value: int) -> int:
         self._check_index(index)
         self.reads += 1
         self.writes += 1
-        new = min(int(self._cells[index]), value & self._mask)
-        self._cells[index] = np.uint64(new)
+        new = min(self._cells[index], _as_int(value) & self._mask)
+        self._cells[index] = new
         return new
 
     def merge_max(self, index: int, value: int) -> int:
         self._check_index(index)
         self.reads += 1
         self.writes += 1
-        new = max(int(self._cells[index]), value & self._mask)
-        self._cells[index] = np.uint64(new)
+        new = max(self._cells[index], _as_int(value) & self._mask)
+        self._cells[index] = new
         return new
 
     # --- bulk operations (array MAU path) ------------------------------------
 
     def read_many(self, indices: list[int]) -> list[int]:
-        for index in indices:
-            self._check_index(index)
-        self.reads += len(indices)
-        return [int(self._cells[i]) for i in indices]
+        self._check_indices(indices)
+        cells = self._cells
+        out = [cells[i] for i in indices]
+        self.reads += len(out)
+        return out
 
     def add_many(self, indices: list[int], values: list[int]) -> list[int]:
-        """Element-wise wrapping adds; duplicate indices accumulate in order."""
+        """Element-wise wrapping adds; duplicate indices accumulate in order.
+
+        Equal to one :meth:`add` per element, except that the length match
+        and every index are checked before any cell changes: a bad index
+        leaves the array untouched.
+        """
         if len(indices) != len(values):
             raise TableError(
                 f"register {self.name!r}: {len(indices)} indices vs "
                 f"{len(values)} values"
             )
-        return [self.add(i, v) for i, v in zip(indices, values)]
+        self._check_indices(indices)
+        cells = self._cells
+        mask = self._mask
+        out = []
+        for i, value in zip(indices, values):
+            cells[i] = new = (cells[i] + _as_int(value)) & mask
+            out.append(new)
+        self.reads += len(out)
+        self.writes += len(out)
+        return out
 
     def snapshot(self) -> np.ndarray:
         """Copy of the raw cell contents."""
-        return self._cells.copy()
+        return np.array(self._cells, dtype=np.uint64)
 
     def load(self, values: np.ndarray | list[int]) -> None:
-        """Bulk-initialize cells (control-plane download)."""
-        array = np.asarray(values, dtype=np.uint64)
+        """Bulk-initialize cells (control-plane download).
+
+        Every value must be an integer in ``[0, 2**64)``; it is then
+        masked to the cell width.
+        """
+        array = np.asarray(values, dtype=object)
         if array.shape != (self.size,):
             raise ConfigError(
                 f"register {self.name!r} expects {self.size} values, "
                 f"got shape {array.shape}"
             )
-        self._cells = array & np.uint64(self._mask)
+        cells = []
+        for raw in array.tolist():
+            try:
+                value = _as_int(raw)
+            except TypeError:
+                value = -1
+            if not 0 <= value < 1 << 64:
+                raise ConfigError(
+                    f"register {self.name!r}: load value {raw!r} is not "
+                    f"an integer in [0, 2**64)"
+                )
+            cells.append(value & self._mask)
+        self._cells = cells
 
     def reset(self) -> None:
-        self._cells.fill(0)
+        self._cells = [0] * self.size
 
     @property
     def bits(self) -> int:
