@@ -6,8 +6,9 @@ hash independently — the standard defense against ECMP polarization,
 and a reproducibility requirement: two runs of the same seeded workload
 pick identical paths.
 
-- :class:`EcmpSelector` hashes the flow key once; a flow sticks to one
-  path forever (no reordering, but long flows can collide).
+- :class:`EcmpSelector` hashes the flow key once (the hash is memoized
+  per key); a flow sticks to one path forever (no reordering, but long
+  flows can collide).
 - :class:`FlowletSelector` re-hashes when the gap since the flow's last
   packet exceeds ``gap_s`` (Kandula et al.'s flowlet argument: a gap
   longer than the path-delay spread lets the flow switch paths without
@@ -39,10 +40,19 @@ def flow_key(packet: Packet) -> FlowKey:
 
 
 class EcmpSelector:
-    """Static per-flow hashing over the candidate port set."""
+    """Static per-flow hashing over the candidate port set.
+
+    The 64-bit hash is memoized per flow key (it is pure in the salt and
+    the key), so after a flow's first packet a pick looks the hash up
+    instead of recomputing it.  The memo holds the hash, not the port:
+    the candidate set is an argument of each pick and one flow may be
+    asked with sets of different sizes, so each pick reduces the hash
+    modulo the set it is given.
+    """
 
     def __init__(self, salt: int = 0) -> None:
         self.salt = salt
+        self._hashes: dict[FlowKey, int] = {}
 
     def choose(
         self, packet: Packet, candidates: tuple[int, ...], now_s: float
@@ -52,8 +62,10 @@ class EcmpSelector:
         if len(candidates) == 1:
             return candidates[0]
         key = flow_key(packet)
-        index = stable_hash64(f"{self.salt}:{key}") % len(candidates)
-        return candidates[index]
+        digest = self._hashes.get(key)
+        if digest is None:
+            digest = self._hashes[key] = stable_hash64(f"{self.salt}:{key}")
+        return candidates[digest % len(candidates)]
 
 
 class FlowletSelector:

@@ -299,7 +299,6 @@ def run_serve(
     link_latency_ns: float = DEFAULT_LINK_LATENCY_NS,
     flowlet_gap_ns: float = DEFAULT_FLOWLET_GAP_NS,
     interval_ns: float | None = None,
-    queue_backend: str | None = None,
     make_telemetry=None,
     on_window=None,
     sample: int | None = None,
@@ -416,7 +415,7 @@ def run_serve(
 
         spans = SpanRecorder(SpanSampler(seed=seed, sample=sample))
 
-    sim = Simulator(queue_backend)
+    sim = Simulator()
     fabric = build_fabric(
         topo,
         target=target,

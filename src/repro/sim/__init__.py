@@ -4,11 +4,10 @@ The switch models in :mod:`repro.rmt` and :mod:`repro.adcp` are built from
 clocked components that exchange items through bounded channels.  This
 package provides the kernel underneath them:
 
-- :class:`~repro.sim.event.EventQueue`,
-  :class:`~repro.sim.event.CalendarQueue` and
-  :class:`~repro.sim.event.Simulator` — a classic discrete-event core with
-  deterministic tie-breaking and interchangeable queue backends (see
-  docs/KERNEL.md for the backend contract).
+- :class:`~repro.sim.event.EventQueue` and
+  :class:`~repro.sim.event.Simulator` — a classic discrete-event core: one
+  ``heapq`` queue with deterministic tie-breaking and lazy cancellation
+  (see docs/KERNEL.md for the entry format and the dispatch loops).
 - :class:`~repro.sim.clock.Clock` and
   :class:`~repro.sim.clock.ClockDomain` — cycle arithmetic for components
   running at different frequencies (the ADCP's multi-clock MAT memories
@@ -23,31 +22,20 @@ package provides the kernel underneath them:
 
 from .clock import Clock, ClockDomain
 from .component import Channel, Component
-from .event import (
-    QUEUE_BACKENDS,
-    CalendarQueue,
-    Event,
-    EventQueue,
-    Simulator,
-    make_event_queue,
-)
+from .event import EventQueue, Simulator
 from .rng import make_rng, split_rng
 from .stats import Counter, Histogram, StatsRegistry
 
 __all__ = [
-    "CalendarQueue",
     "Channel",
     "Clock",
     "ClockDomain",
     "Component",
     "Counter",
-    "Event",
     "EventQueue",
     "Histogram",
-    "QUEUE_BACKENDS",
     "Simulator",
     "StatsRegistry",
-    "make_event_queue",
     "make_rng",
     "split_rng",
 ]

@@ -16,8 +16,8 @@ scoring, and the §3.2 compile divergence into a diffable ledger:
   claim, machine-checked in every ledger.
 
 Ledger content is a pure function of (workload, params, seed): nothing
-wall-clock- or backend-dependent enters it, so artifacts are
-byte-identical per seed across queue backends (modulo ``git_sha``).
+wall-clock-dependent enters it, so artifacts are byte-identical per
+seed across reruns and telemetry levels (modulo ``git_sha``).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ ask for exactly the observability they need:
 ``counters``
     ``off`` plus the clock-driven :class:`~repro.telemetry.monitor.
     ResourceMonitor` (deadline-aware probe, so dispatch stays on
-    ``_run_fast_probed``).  Fast path live.
+    ``_run_fast``).  Fast path live.
 ``sampled``
     ``counters`` plus head-based span sampling: a deterministic 1-in-N
     subset of injected packets carries a span id in ``PacketMetadata``
@@ -26,9 +26,9 @@ ask for exactly the observability they need:
 The sampling decision is *head-based* and content-free: it is made once,
 at injection, from the packet id alone — ``stable_hash64("span/<seed>/
 <relative packet id>") % N == 0`` — so the same seed always samples the
-same packets, on every switch target and queue backend, and every hop a
-sampled packet (or an ``OP_RESULT`` emission it triggers) traverses is
-captured or none are.  Ids are taken *relative to the first packet the
+same packets, on every switch target, and every hop a sampled packet
+(or an ``OP_RESULT`` emission it triggers) traverses is captured or
+none are.  Ids are taken *relative to the first packet the
 sampler sees* so the decision depends only on a packet's position in the
 run's injection stream, not on how many packets earlier runs in the same
 process happened to allocate.
@@ -65,8 +65,7 @@ class TelemetryLevel(enum.Enum):
     @property
     def preserves_fast_path(self) -> bool:
         """Whether this level keeps ``trace is None`` — and with it
-        ``_run_fast``/``_run_fast_probed`` dispatch and batched
-        admission — live."""
+        ``_run_fast`` dispatch and batched admission — live."""
         return self is not TelemetryLevel.FULL
 
     @property

@@ -3,18 +3,48 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.fabric import EcmpSelector, FlowletSelector, make_selector
 from repro.net.headers import OP_DATA, coflow_header, standard_stack
 from repro.net.packet import Packet
+from repro.sim.rng import stable_hash64
 
 
-def _packet(coflow_id: int, flow_id: int, seq: int = 0) -> Packet:
+def _packet(
+    coflow_id: int,
+    flow_id: int,
+    seq: int = 0,
+    src_ip: int = 0,
+    dst_ip: int = 0,
+) -> Packet:
     return Packet(
-        standard_stack()
+        standard_stack(src_ip=src_ip, dst_ip=dst_ip)
         + [coflow_header(coflow_id, flow_id, seq=seq, opcode=OP_DATA)]
     )
+
+
+_FLOW_KEYS = st.tuples(
+    st.integers(0, 1000),
+    st.integers(0, 255),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@st.composite
+def _candidate_sets(draw):
+    """Two or more port tuples, no two of the same length."""
+    lengths = draw(
+        st.lists(st.integers(2, 9), min_size=2, max_size=4, unique=True)
+    )
+    ports = st.integers(0, 63)
+    return [
+        tuple(draw(st.lists(ports, min_size=n, max_size=n, unique=True)))
+        for n in lengths
+    ]
 
 
 class TestEcmp:
@@ -58,6 +88,46 @@ class TestEcmp:
     def test_empty_candidates_rejected(self):
         with pytest.raises(ConfigError, match="empty candidate"):
             EcmpSelector().choose(_packet(1, 1), (), 0.0)
+
+
+class TestEcmpMemo:
+    """The per-key hash memo is invisible: every memoized pick equals the
+    unmemoized formula, whichever candidate set the key meets."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.lists(_FLOW_KEYS, min_size=1, max_size=8, unique=True),
+        _candidate_sets(),
+        st.data(),
+    )
+    def test_memoized_choose_matches_the_formula(self, salt, keys, sets, data):
+        # The first key meets two candidate sets of different lengths,
+        # then random (key, set) queries hit and miss the memo.
+        queries = [(0, 0), (0, 1), (0, 0)] + data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(keys) - 1),
+                    st.integers(0, len(sets) - 1),
+                ),
+                max_size=30,
+            )
+        )
+        selector = EcmpSelector(salt=salt)
+        for key_index, set_index in queries:
+            key, candidates = keys[key_index], sets[set_index]
+            coflow_id, flow_id, src_ip, dst_ip = key
+            packet = _packet(coflow_id, flow_id, src_ip=src_ip, dst_ip=dst_ip)
+            expected = candidates[
+                stable_hash64(f"{salt}:{key}") % len(candidates)
+            ]
+            assert selector.choose(packet, candidates, 0.0) == expected
+        assert len(selector._hashes) == len({k for k, _ in queries})
+
+    def test_single_candidate_is_not_memoized(self):
+        selector = EcmpSelector(salt=5)
+        assert selector.choose(_packet(1, 1), (7,), 0.0) == 7
+        assert selector._hashes == {}
 
 
 class TestFlowlet:

@@ -15,7 +15,9 @@ class TestEventQueue:
         q.push(2.0, lambda: order.append("b"))
         q.push(1.0, lambda: order.append("a"))
         first = q.pop()
-        assert first is not None and first.time == 1.0
+        assert first is not None and first[0] == 1.0
+        first[3]()
+        assert order == ["a"]
 
     def test_fifo_tiebreak_at_equal_time(self):
         q = EventQueue()
@@ -24,35 +26,47 @@ class TestEventQueue:
         a = q.pop()
         b = q.pop()
         assert a is not None and b is not None
-        assert a.sequence < b.sequence
+        assert a[2] < b[2]
+        assert (a[3](), b[3]()) == ("first", "second")
 
     def test_priority_orders_within_time(self):
         q = EventQueue()
         q.push(1.0, lambda: None, priority=5)
         high = q.push(1.0, lambda: None, priority=1)
-        assert q.pop() is high
+        assert q.pop()[:3] == tuple(high[:3])
+
+    def test_entry_is_the_handle(self):
+        q = EventQueue()
+
+        def action() -> None:
+            pass
+
+        entry = q.push(1.5, action, priority=2)
+        assert entry == [1.5, 2, 0, action]
+        assert q.pop() == (1.5, 2, 0, action)
+        assert entry[3] is None  # spent: the queue no longer holds it
 
     def test_cancelled_events_skipped(self):
         q = EventQueue()
         event = q.push(1.0, lambda: None)
         q.push(2.0, lambda: None)
-        event.cancel()
+        q.cancel(event)
         popped = q.pop()
-        assert popped is not None and popped.time == 2.0
+        assert popped is not None and popped[0] == 2.0
 
     def test_len_excludes_cancelled(self):
         q = EventQueue()
         event = q.push(1.0, lambda: None)
         q.push(2.0, lambda: None)
         assert len(q) == 2
-        event.cancel()
+        q.cancel(event)
         assert len(q) == 1
 
     def test_peek_time_skips_cancelled(self):
         q = EventQueue()
         event = q.push(1.0, lambda: None)
         q.push(3.0, lambda: None)
-        event.cancel()
+        q.cancel(event)
         assert q.peek_time() == 3.0
 
     def test_peek_empty_returns_none(self):
@@ -131,6 +145,25 @@ class TestSimulator:
         sim.at(0.0, lambda: None)
         assert sim.step() is True
         assert sim.step() is False
+
+    def test_cancel_through_the_simulator_queue(self):
+        sim = Simulator()
+        fired: list[str] = []
+        handle = sim.at(1.0, lambda: fired.append("cancelled"))
+        sim.after(2.0, lambda: fired.append("kept"))
+        sim.queue.cancel(handle)
+        assert len(sim.queue) == 1
+        sim.run()
+        assert fired == ["kept"]
+
+    def test_dispatched_handle_cannot_be_cancelled(self):
+        sim = Simulator()
+        handles = []
+        handles.append(sim.at(1.0, lambda: sim.queue.cancel(handles[0])))
+        sim.at(2.0, lambda: None)
+        assert sim.run(until=1.0) == 1
+        assert len(sim.queue) == 1
+        assert sim.run() == 1
 
     def test_events_dispatched_counter(self):
         sim = Simulator()

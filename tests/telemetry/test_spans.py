@@ -204,30 +204,6 @@ class TestSpanLedgerDeterminism:
             )
         assert _strip_sha(docs[0]) == _strip_sha(docs[1])
 
-    @pytest.mark.parametrize("backend", ["heap", "calendar", "auto"])
-    def test_byte_identical_across_queue_backends(
-        self, backend, monkeypatch
-    ):
-        from repro.sim.event import QUEUE_BACKEND_ENV
-
-        monkeypatch.delenv(QUEUE_BACKEND_ENV, raising=False)
-        recorder, run = _sampled_fabric("rmt", sample=8)
-        reference = build_span_ledger(
-            "fabric-allreduce",
-            recorder,
-            seed=0,
-            span_coflows=run.span_coflows,
-        )
-        monkeypatch.setenv(QUEUE_BACKEND_ENV, backend)
-        recorder, run = _sampled_fabric("rmt", sample=8)
-        document = build_span_ledger(
-            "fabric-allreduce",
-            recorder,
-            seed=0,
-            span_coflows=run.span_coflows,
-        )
-        assert _strip_sha(document) == _strip_sha(reference)
-
     def test_ledger_shape(self, adcp_fabric):
         recorder, run = adcp_fabric
         doc = build_span_ledger(
