@@ -13,16 +13,23 @@ Pieces shared between the RMT model (:mod:`repro.rmt`) and the ADCP model
   context deliberately exposes *only* the state co-resident with the
   pipeline executing the hook; the architectural difference between RMT
   and ADCP is exactly which state that is.
+- :class:`~repro.arch.switch.BaseSwitch` and
+  :class:`~repro.arch.switch.SwitchRunResult` — the switch skeleton both
+  targets extend (run loop, telemetry, verdict settlement, egress-TM
+  admission, transmit) and the result a run returns.
 """
 
 from .app import PipelineContext, SwitchApp
 from .decision import Decision, Verdict
 from .port import TxPort
+from .switch import BaseSwitch, SwitchRunResult
 
 __all__ = [
+    "BaseSwitch",
     "Decision",
     "PipelineContext",
     "SwitchApp",
+    "SwitchRunResult",
     "TxPort",
     "Verdict",
 ]

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from ..arch.app import SwitchApp
 from ..arch.decision import Decision, Verdict
 from ..arch.port import TxPort
+from ..arch.switch import SwitchRunResult
 from ..errors import ConfigError
 from ..net.packet import Packet
 from ..net.parser import ParseGraph, Parser
 from ..net.deparser import Deparser
-from ..rmt.switch import SwitchRunResult
 from ..sim.component import Component
 from ..tables.mat import MatchTable
 from ..tables.registers import RegisterArray

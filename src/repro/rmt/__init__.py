@@ -18,7 +18,7 @@ all fall out of this structure:
 
 from .config import RMTConfig, StateMode
 from .pipeline import Pipeline, PipelineRuntimeContext, Stage
-from .switch import RMTSwitch, SwitchRunResult
+from .switch import RMTSwitch
 from .traffic_manager import TrafficManager
 
 __all__ = [
@@ -28,6 +28,5 @@ __all__ = [
     "RMTSwitch",
     "Stage",
     "StateMode",
-    "SwitchRunResult",
     "TrafficManager",
 ]

@@ -128,20 +128,26 @@ class TestArraySupport:
 
 
 class TestProgrammingModelGuards:
-    def test_recirculate_verdict_rejected(self, small_adcp_config):
+    @pytest.mark.parametrize("station", ["ingress", "central", "egress"])
+    def test_recirculate_verdict_rejected(self, small_adcp_config, station):
+        """No ADCP region may recirculate: every station refuses the
+        verdict with the same error instead of forwarding the packet."""
+
         class BadApp(SwitchApp):
             def __init__(self):
                 super().__init__("bad")
 
-            def ingress(self, ctx, packet, phv):
-                return Decision.recirculate()
+        def recirculate(self, ctx, packet, phv):
+            return Decision.recirculate()
 
+        setattr(BadApp, station, recirculate)
         switch = ADCPSwitch(small_adcp_config, BadApp())
         packet = make_coflow_packet(1, 0, 0, [(1, 1)])
         packet.meta.ingress_port = 0
         packet.meta.egress_port = 1
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="ADCP programs never recirculate"):
             switch.run([(0.0, packet)])
+        assert not switch.finalize().delivered
 
     def test_egress_emission_rejected(self, small_adcp_config):
         class BadApp(SwitchApp):

@@ -1,12 +1,12 @@
-"""Tests for SwitchRunResult accounting helpers (repro.rmt.switch)."""
+"""Tests for SwitchRunResult accounting helpers (repro.arch.switch)."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.arch import SwitchRunResult
 from repro.errors import ConfigError
 from repro.net.traffic import make_coflow_packet
-from repro.rmt.switch import SwitchRunResult
 
 
 def _delivered(port: int, elements: int = 2, departure: float = 1.0):

@@ -18,6 +18,7 @@ inside their own dispatch, and bounded drains (``until``).
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -308,25 +309,16 @@ _LEVEL_WORKERS = st.lists(
 _LEVEL_ELEMENTS = st.sampled_from([8, 16, 32])
 _LEVEL_SAMPLES = st.sampled_from([1, 2, 4, 16])
 
+#: Elements per packet on each target: RMT's stateful hooks are scalar;
+#: ADCP packs arrays, so its runs exercise array packets as well as the
+#: batched ingress and the multicast egress burst of the results.
+_ELEMENTS_PER_PACKET = {"rmt": 1, "adcp": 4}
 
-def _run_at_level(level, workers, elements, sample):
-    """One RMT run at a telemetry level; returns its observable digest."""
-    from repro.apps import ParameterServerApp
-    from repro.rmt.config import RMTConfig
-    from repro.rmt.switch import RMTSwitch
-    from repro.telemetry import Telemetry
-    from repro.units import GBPS
 
-    telemetry = Telemetry.at_level(level, seed=0, sample=sample)
-    config = RMTConfig(
-        num_ports=8, pipelines=2, port_speed_bps=100 * GBPS,
-        min_wire_packet_bytes=84.0, frequency_hz=1.25e9,
-    )
-    app = ParameterServerApp(sorted(workers), elements, elements_per_packet=1)
-    switch = RMTSwitch(config, app, telemetry=telemetry)
-    result = switch.run(app.workload(config.port_speed_bps))
+def _switch_digest(switch, result):
+    """Everything a run computes, with run-relative packet ids."""
     base = min(p.packet_id for p in result.delivered)
-    digest = (
+    return (
         [
             (p.packet_id - base, p.meta.egress_port, p.meta.departure_time)
             for p in result.delivered
@@ -339,25 +331,84 @@ def _run_at_level(level, workers, elements, sample):
         switch._sim.logical_events,
         switch._sim.now,
     )
-    return digest, switch, telemetry
+
+
+def _run_at_level(level, workers, elements, sample, target="rmt"):
+    """One parameter-server run at a telemetry level; returns its
+    observable digest."""
+    from repro.adcp.config import ADCPConfig
+    from repro.adcp.switch import ADCPSwitch
+    from repro.apps import ParameterServerApp
+    from repro.rmt.config import RMTConfig
+    from repro.rmt.switch import RMTSwitch
+    from repro.telemetry import Telemetry
+    from repro.units import GBPS
+
+    telemetry = Telemetry.at_level(level, seed=0, sample=sample)
+    app = ParameterServerApp(
+        sorted(workers),
+        elements,
+        elements_per_packet=_ELEMENTS_PER_PACKET[target],
+    )
+    if target == "rmt":
+        config = RMTConfig(
+            num_ports=8, pipelines=2, port_speed_bps=100 * GBPS,
+            min_wire_packet_bytes=84.0, frequency_hz=1.25e9,
+        )
+        switch = RMTSwitch(config, app, telemetry=telemetry)
+    else:
+        config = ADCPConfig(
+            num_ports=8, port_speed_bps=100 * GBPS, demux_factor=2,
+            central_pipelines=4,
+        )
+        switch = ADCPSwitch(config, app, telemetry=telemetry)
+    result = switch.run(app.workload(config.port_speed_bps))
+    return _switch_digest(switch, result), switch, telemetry
+
+
+def _run_mergejoin_at_level(level):
+    """An ADCP sort-merge join; its ordered-flow releases reach TM1 in
+    same-time bursts on the fast path."""
+    from repro.adcp.config import ADCPConfig
+    from repro.adcp.switch import ADCPSwitch
+    from repro.apps import SortMergeJoinApp
+    from repro.telemetry import Telemetry
+    from repro.units import GBPS
+
+    config = ADCPConfig(
+        num_ports=8, port_speed_bps=100 * GBPS, demux_factor=2,
+        central_pipelines=4,
+    )
+    app = SortMergeJoinApp(left_port=0, right_port=1, output_port=7)
+    switch = ADCPSwitch(
+        config,
+        app,
+        ordered_flows=app.ordered_flows(),
+        telemetry=Telemetry.at_level(level, seed=0, sample=2),
+    )
+    left = [(k, k) for k in (1, 2, 2, 4, 5, 7, 9, 9, 12)]
+    right = [(k, 100 * k) for k in (2, 3, 4, 4, 5, 8, 9, 12, 12)]
+    result = switch.run(app.workload(config.port_speed_bps, left, right))
+    return _switch_digest(switch, result), switch
 
 
 class TestTelemetryLevelEquivalence:
     @settings(max_examples=12, deadline=None)
     @given(_LEVEL_WORKERS, _LEVEL_ELEMENTS, _LEVEL_SAMPLES)
+    @pytest.mark.parametrize("target", ["rmt", "adcp"])
     def test_fast_levels_match_instrumented(
-        self, workers, elements, sample
+        self, target, workers, elements, sample
     ):
         """``counters``/``sampled`` vs ``full``: identical dispatch order
         (delivery sequence with run-relative packet ids), final counter
         values, and logical event count — with the fast path kept."""
         full, full_switch, _ = _run_at_level(
-            "full", workers, elements, sample
+            "full", workers, elements, sample, target
         )
         assert full_switch.trace is not None
         for level in ("counters", "sampled"):
             fast, fast_switch, _ = _run_at_level(
-                level, workers, elements, sample
+                level, workers, elements, sample, target
             )
             assert fast == full
             assert fast_switch.trace is None
@@ -367,6 +418,16 @@ class TestTelemetryLevelEquivalence:
             if len(workers) > 1:
                 assert fast_switch._sim.events_coalesced > 0
                 assert full_switch._sim.events_coalesced == 0
+
+    def test_adcp_merge_bursts_match_instrumented(self):
+        """TM1's burst admission of merge releases (fast path only)
+        matches the per-packet admissions of the ``full`` run."""
+        full, full_switch = _run_mergejoin_at_level("full")
+        assert full_switch._sim.events_coalesced == 0
+        for level in ("counters", "sampled"):
+            fast, fast_switch = _run_mergejoin_at_level(level)
+            assert fast == full
+            assert fast_switch._sim.events_coalesced > 0
 
     def test_sampled_records_cover_only_sampled_subset(self):
         """Every record belongs to an admitted span; sample=1 records

@@ -303,11 +303,12 @@ class TestCLI:
 class TestBaselineByteIdentity:
     """Regenerate the committed baseline ledgers and require byte-identity.
 
-    These are the end-to-end anchors for the event-kernel rework: batched
-    admission, lazy PHV parsing, and the calendar queue must leave every
-    observable number in the run ledgers untouched.  The only permitted
-    difference is ``git_sha`` (stamped at build time), which is pinned to
-    the baseline's value before the byte comparison.
+    These are the end-to-end anchors for performance and refactoring
+    work: every file in ``baselines/`` is regenerated here (the two
+    stateful ledgers by :class:`TestStatefulLedgerFamily`), and a change
+    that moves code must leave every observable number untouched.  The
+    only permitted difference is ``git_sha`` (stamped at build time),
+    which is pinned to the baseline's value before the byte comparison.
     """
 
     BASELINES = Path(__file__).resolve().parents[2] / "baselines"
@@ -349,6 +350,38 @@ class TestBaselineByteIdentity:
         run = run_spans("leaf-spine-2x2", "fabric-allreduce", sample=8)
         self._assert_byte_identical(
             tmp_path, "span_ledger_leafspine.json", run.ledger
+        )
+
+    def test_serve_leafspine_ledger_matches_baseline(self, tmp_path):
+        """The CI serve smoke: 10 us, 500 ns windows, one drop-rate SLO."""
+        from repro.serve import run_serve
+
+        run = run_serve(
+            "leaf-spine-2x2",
+            "fabric-allreduce",
+            duration_ns=10_000.0,
+            window_ns=500.0,
+            slos=["drop_rate<=0.05"],
+        )
+        self._assert_byte_identical(
+            tmp_path, "ledger_serve_leafspine.json", run.ledger()
+        )
+
+    def test_campaign_design_space_report_matches_baseline(self, tmp_path):
+        """The CI campaign smoke: design-space at one port speed."""
+        from repro.campaign import resolve_spec, run_campaign
+
+        spec = resolve_spec("design-space").restrict_axes(
+            {"port_speed_gbps": [100]}
+        )
+        run = run_campaign(
+            spec,
+            out_dir=tmp_path / "campaign",
+            cache_dir=tmp_path / "cache",
+        )
+        assert run.report is not None
+        self._assert_byte_identical(
+            tmp_path, "campaign_design_space.json", run.report
         )
 
 
