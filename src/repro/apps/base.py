@@ -37,28 +37,39 @@ def coflow_arrivals(
     Keys are globally indexed per flow position (``key = element index``)
     so that aggregation workloads see every worker contribute the same key
     set — the parameter-server pattern.
+
+    The arguments are checked now; the packets are built on the first
+    ``next()``, all of them and in flow order, so their ids are the ones
+    an eager build would draw.  A switch run that consumes the stream
+    therefore builds them inside its collector pause (docs/KERNEL.md).
     """
     if elements_per_packet < 1:
         raise ConfigError("elements per packet must be >= 1")
-    sources = []
-    for flow in coflow.input_flows:
-        packets = flow.packets(
-            coflow.coflow_id,
-            elements_per_packet,
-            key_base=0,
-            value_fn=value_fn,
-            opcode=opcode,
-        )
-        if flush:
-            packets.append(_flush_packet(coflow, flow))
-        sources.append(
-            DeterministicSource(
-                flow.src_port, port_speed_bps, packets, start_time=start_time
-            )
-        )
-    if not sources:
+    flows = coflow.input_flows
+    if not flows:
         raise ConfigError(f"coflow {coflow.coflow_id} has no input flows")
-    return merge_sources(sources)
+
+    def stream() -> Iterator[tuple[float, Packet]]:
+        sources = []
+        for flow in flows:
+            packets = flow.packets(
+                coflow.coflow_id,
+                elements_per_packet,
+                key_base=0,
+                value_fn=value_fn,
+                opcode=opcode,
+            )
+            if flush:
+                packets.append(_flush_packet(coflow, flow))
+            sources.append(
+                DeterministicSource(
+                    flow.src_port, port_speed_bps, packets,
+                    start_time=start_time,
+                )
+            )
+        yield from merge_sources(sources)
+
+    return stream()
 
 
 def _flush_packet(coflow: Coflow, flow: Flow) -> Packet:

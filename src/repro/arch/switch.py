@@ -27,7 +27,7 @@ from ..errors import ConfigError
 from ..net.packet import Packet
 from ..net.traffic import batch_arrivals
 from ..sim.component import Component
-from ..sim.event import Simulator
+from ..sim.event import CollectorPause, Simulator
 from ..telemetry.events import Category, Severity
 from .app import SwitchApp
 from .decision import Decision, Verdict
@@ -281,22 +281,30 @@ class BaseSwitch(Component):
         Returns the accumulated :class:`SwitchRunResult`.  ``run`` may be
         called once per switch instance; construct a fresh switch per
         experiment so state and stats start clean.
+
+        Admission and the drain share one
+        :class:`~repro.sim.event.CollectorPause`.  A lazy
+        ``timed_packets`` (``ParameterServerApp.workload``,
+        ``SingleStream.arrivals``) builds its packets inside it, in
+        stream order, and keeps no reference to a packet once admitted.
         """
         if self.spans is not None:
             timed_packets = self._sampled_stream(timed_packets)
-        if self.trace is None:
-            # Batched admission: one kernel event per distinct arrival
-            # timestamp, servicing the whole burst in stream order.  All
-            # injections carry the default event priority and the kernel
-            # breaks (time, priority) ties in schedule order, so this
-            # dispatches identically to one event per packet.  Traced
-            # runs keep per-packet events so span streams are unchanged.
-            for time, burst in batch_arrivals(timed_packets):
-                self._sim.at(time, self._make_burst_event(burst, time))
-        else:
-            for time, packet in timed_packets:
-                self.inject(packet, time)
-        self._sim.run(until=until)
+        with CollectorPause():
+            if self.trace is None:
+                # Batched admission: one kernel event per distinct
+                # arrival timestamp, servicing the whole burst in stream
+                # order.  All injections carry the default event priority
+                # and the kernel breaks (time, priority) ties in schedule
+                # order, so this dispatches identically to one event per
+                # packet.  Traced runs keep per-packet events so span
+                # streams are unchanged.
+                for time, burst in batch_arrivals(timed_packets):
+                    self._sim.at(time, self._make_burst_event(burst, time))
+            else:
+                for time, packet in timed_packets:
+                    self.inject(packet, time)
+            self._sim.run(until=until)
         return self.finalize()
 
     def inject(self, packet: Packet, time: float) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from ..errors import ConfigError, SimulationError
 from ..net.headers import OP_DATA
 from ..net.packet import Packet
-from ..sim.event import Simulator
+from ..sim.event import CollectorPause, Simulator
 from ..telemetry.monitor import DEFAULT_INTERVAL_NS
 from ..units import GBPS
 from .app import FabricAggregateApp, HostedCoflow
@@ -594,49 +594,51 @@ def run_fabric(
     # RMT's scalar stateful constraint forces one element per packet;
     # ADCP packs up to its array width (section 3.2's whole point).
     epp = 1 if target == "rmt" else min(16, vector)
-    work = build_workload(
-        workload,
-        topo,
-        coflows=coflows,
-        vector=vector,
-        elements_per_packet=epp,
-        link_bps=PORT_SPEED_BPS,
-        load=load,
-        seed=seed,
-    )
+    # Build, admit and drain inside one collector pause: the workload's
+    # packets are the run's largest allocation (docs/KERNEL.md).
+    with CollectorPause():
+        work = build_workload(
+            workload,
+            topo,
+            coflows=coflows,
+            vector=vector,
+            elements_per_packet=epp,
+            link_bps=PORT_SPEED_BPS,
+            load=load,
+            seed=seed,
+        )
 
-    placement_map: dict[int, str] = {}
-    hosted_by_switch: dict[str, list[HostedCoflow]] = {}
-    if work.aggregated:
-        policy = make_placement(placement)
-        for spec in work.coflows:
-            where = policy.choose(spec.coflow_id, spec.worker_hosts, topo)
-            placement_map[spec.coflow_id] = where
-            hosted_by_switch.setdefault(where, []).append(
-                HostedCoflow(
-                    spec.coflow_id, spec.worker_hosts, spec.vector_elements
+        placement_map: dict[int, str] = {}
+        hosted_by_switch: dict[str, list[HostedCoflow]] = {}
+        if work.aggregated:
+            policy = make_placement(placement)
+            for spec in work.coflows:
+                where = policy.choose(spec.coflow_id, spec.worker_hosts, topo)
+                placement_map[spec.coflow_id] = where
+                hosted_by_switch.setdefault(where, []).append(
+                    HostedCoflow(
+                        spec.coflow_id, spec.worker_hosts, spec.vector_elements
+                    )
                 )
-            )
 
-    fabric = build_fabric(
-        topo,
-        target=target,
-        routing=routing,
-        placement_map=placement_map,
-        hosted_by_switch=hosted_by_switch,
-        app_factory=work.app_factory,
-        elements_per_packet=epp,
-        link_latency_ns=link_latency_ns,
-        flowlet_gap_ns=flowlet_gap_ns,
-        interval_ns=interval_ns,
-        make_telemetry=make_telemetry,
-        spans=spans,
-    )
-    sim = fabric.sim
-    hosts = fabric.hosts
-    span_coflows = inject_arrivals(fabric, work.arrivals, spans=spans)
-
-    sim.run()
+        fabric = build_fabric(
+            topo,
+            target=target,
+            routing=routing,
+            placement_map=placement_map,
+            hosted_by_switch=hosted_by_switch,
+            app_factory=work.app_factory,
+            elements_per_packet=epp,
+            link_latency_ns=link_latency_ns,
+            flowlet_gap_ns=flowlet_gap_ns,
+            interval_ns=interval_ns,
+            make_telemetry=make_telemetry,
+            spans=spans,
+        )
+        sim = fabric.sim
+        hosts = fabric.hosts
+        span_coflows = inject_arrivals(fabric, work.arrivals, spans=spans)
+        sim.run()
 
     sections = fabric.finalize_sections()
 

@@ -26,6 +26,7 @@ incomplete — serve mode reports them as such rather than failing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError, SimulationError
@@ -40,6 +41,12 @@ ARRIVAL_KINDS = ("poisson", "periodic")
 #: Hard cap on generated workload rounds: a backstop against a profile
 #: whose effective rate is so low that the horizon is never reached.
 MAX_ROUNDS = 4096
+
+#: Hard cap on rolling windows per serve run (``duration / window``):
+#: each window closes a record and samples every switch gauge, so a
+#: sub-nanosecond window would grind for minutes.  Repo callers use at
+#: most ~40.
+MAX_WINDOWS = 1024
 
 #: The warm-up ramp never scales the rate below this floor (keeps gap
 #: draws finite at t=0).
@@ -72,7 +79,10 @@ def parse_duration_ns(text: str) -> float:
         )
     if value <= 0:
         raise ConfigError(f"duration must be positive, got {text!r}")
-    return value * _DURATION_UNITS[suffix]
+    duration_ns = value * _DURATION_UNITS[suffix]
+    if not math.isfinite(duration_ns):  # nan, inf, or an overflow
+        raise ConfigError(f"duration must be finite, got {text!r}")
+    return duration_ns
 
 
 @dataclass(frozen=True)
@@ -84,8 +94,10 @@ class BurstPhase:
     end_ns: float
 
     def __post_init__(self) -> None:
-        if self.factor <= 0:
-            raise ConfigError(f"burst factor must be positive, got {self.factor}")
+        if not 0 < self.factor < math.inf:  # also rejects NaN
+            raise ConfigError(
+                f"burst factor must be positive and finite, got {self.factor}"
+            )
         if self.start_ns < 0 or self.end_ns <= self.start_ns:
             raise ConfigError(
                 f"burst phase needs 0 <= start < end, got "
@@ -124,8 +136,10 @@ class RateProfile:
     bursts: tuple[BurstPhase, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ConfigError(f"rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:  # also rejects NaN
+            raise ConfigError(
+                f"rate must be positive and finite, got {self.rate}"
+            )
         if self.ramp_ns < 0:
             raise ConfigError(f"ramp must be >= 0, got {self.ramp_ns}")
 
@@ -196,8 +210,10 @@ def build_schedule(
             f"unknown arrival process {arrivals!r}; choose from "
             f"{', '.join(ARRIVAL_KINDS)}"
         )
-    if duration_ns <= 0:
-        raise ConfigError(f"duration must be positive, got {duration_ns}")
+    if not 0 < duration_ns < math.inf:  # also rejects NaN
+        raise ConfigError(
+            f"duration must be positive and finite, got {duration_ns}"
+        )
     duration_s = duration_ns * _NS
     poisson = arrivals == "poisson"
 

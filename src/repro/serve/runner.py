@@ -32,10 +32,10 @@ from ..fabric.runner import (
     switch_section_json,
 )
 from ..fabric.topology import Topology, parse_topology
-from ..sim.event import Simulator
+from ..sim.event import CollectorPause, Simulator
 from ..telemetry.ledger import SERVE_LEDGER_SCHEMA, git_sha
 from ..telemetry.monitor import _percentile
-from .replay import RateProfile, ServeSchedule, build_schedule
+from .replay import MAX_WINDOWS, RateProfile, ServeSchedule, build_schedule
 from .slo import SloPolicy
 from .windows import RollingWindowMonitor
 
@@ -314,12 +314,18 @@ def run_serve(
     path; the records land in ``ServeRun.spans``, the JSONL stream, and
     a ``spans`` ledger section.
     """
-    if window_ns <= 0:
+    if not window_ns > 0:  # also rejects NaN
         raise ConfigError(f"window width must be positive, got {window_ns}")
     if duration_ns < window_ns:
         raise ConfigError(
             f"duration ({duration_ns} ns) must cover at least one "
             f"window ({window_ns} ns)"
+        )
+    if not duration_ns / window_ns <= MAX_WINDOWS:  # also rejects NaN
+        raise ConfigError(
+            f"duration ({duration_ns} ns) spans more than {MAX_WINDOWS} "
+            f"windows of {window_ns} ns; widen the window or shorten "
+            f"the duration"
         )
     policy = slos if isinstance(slos, SloPolicy) else SloPolicy.parse(slos)
     topo = parse_topology(topology) if isinstance(topology, str) else topology
@@ -327,156 +333,160 @@ def run_serve(
     # ADCP packs up to its array width (same split as run_fabric).
     epp = 1 if target == "rmt" else min(16, vector)
     profile = RateProfile(rate, ramp_ns=ramp_ns, bursts=tuple(bursts))
-    schedule = build_schedule(
-        workload,
-        topo,
-        profile=profile,
-        arrivals=arrivals,
-        duration_ns=duration_ns,
-        coflows=coflows,
-        vector=vector,
-        elements_per_packet=epp,
-        link_bps=PORT_SPEED_BPS,
-        seed=seed,
-    )
+    # Build, admit and drain inside one collector pause, as run_fabric
+    # does (docs/KERNEL.md).
+    with CollectorPause():
+        schedule = build_schedule(
+            workload,
+            topo,
+            profile=profile,
+            arrivals=arrivals,
+            duration_ns=duration_ns,
+            coflows=coflows,
+            vector=vector,
+            elements_per_packet=epp,
+            link_bps=PORT_SPEED_BPS,
+            seed=seed,
+        )
 
-    placement_map: dict[int, str] = {}
-    hosted_by_switch: dict[str, list[HostedCoflow]] = {}
-    if schedule.aggregated:
-        chooser = make_placement(placement)
-        for spec in schedule.coflows:
-            where = chooser.choose(spec.coflow_id, spec.worker_hosts, topo)
-            placement_map[spec.coflow_id] = where
-            hosted_by_switch.setdefault(where, []).append(
-                HostedCoflow(
-                    spec.coflow_id, spec.worker_hosts, spec.vector_elements
+        placement_map: dict[int, str] = {}
+        hosted_by_switch: dict[str, list[HostedCoflow]] = {}
+        if schedule.aggregated:
+            chooser = make_placement(placement)
+            for spec in schedule.coflows:
+                where = chooser.choose(spec.coflow_id, spec.worker_hosts, topo)
+                placement_map[spec.coflow_id] = where
+                hosted_by_switch.setdefault(where, []).append(
+                    HostedCoflow(
+                        spec.coflow_id, spec.worker_hosts, spec.vector_elements
+                    )
                 )
-            )
 
-    monitor = RollingWindowMonitor(window_ns)
+        monitor = RollingWindowMonitor(window_ns)
 
-    # Annotate each window with its SLO verdict before any listener
-    # sees it, then forward to the caller's live stream.
-    def close_hook(record: dict) -> None:
-        violations = policy.evaluate(record)
-        record["slo"] = {
-            "compliant": not violations,
-            "violations": violations,
-        }
-        if on_window is not None:
-            on_window(record)
+        # Annotate each window with its SLO verdict before any listener
+        # sees it, then forward to the caller's live stream.
+        def close_hook(record: dict) -> None:
+            violations = policy.evaluate(record)
+            record["slo"] = {
+                "compliant": not violations,
+                "violations": violations,
+            }
+            if on_window is not None:
+                on_window(record)
 
-    monitor.on_window = close_hook
+        monitor.on_window = close_hook
 
-    # Host-delivery hook: per-window delivery/latency accounting plus
-    # coflow completion against the schedule's expected counts.
-    remaining = dict(schedule.expected)
-    open_hosts: dict[int, set[int]] = {}
-    for coflow_id, host_id in schedule.expected:
-        open_hosts.setdefault(coflow_id, set()).add(host_id)
-    first_departure = schedule.first_departure_s
-    terminal_opcode = schedule.terminal_opcode
+        # Host-delivery hook: per-window delivery/latency accounting plus
+        # coflow completion against the schedule's expected counts.
+        remaining = dict(schedule.expected)
+        open_hosts: dict[int, set[int]] = {}
+        for coflow_id, host_id in schedule.expected:
+            open_hosts.setdefault(coflow_id, set()).add(host_id)
+        first_departure = schedule.first_departure_s
+        terminal_opcode = schedule.terminal_opcode
 
-    def host_sink(endpoint: HostEndpoint):
-        def deliver(packet, arrival_s: float) -> None:
-            origin = packet.meta.origin_time
-            monitor.record_delivery(
-                arrival_s,
-                None if origin is None else (arrival_s - origin) / _NS,
-            )
-            if packet.has_header("coflow"):
-                header = packet.header("coflow")
-                if header["opcode"] == terminal_opcode:
-                    key = (header["coflow_id"], endpoint.host_id)
-                    left = remaining.get(key, 0)
-                    if left > 0:
-                        remaining[key] = left - 1
-                        if left == 1:
-                            coflow_id = key[0]
-                            pending = open_hosts[coflow_id]
-                            pending.discard(endpoint.host_id)
-                            if not pending:
-                                monitor.record_cct(
-                                    arrival_s,
-                                    (
-                                        arrival_s
-                                        - first_departure[coflow_id]
+        def host_sink(endpoint: HostEndpoint):
+            def deliver(packet, arrival_s: float) -> None:
+                origin = packet.meta.origin_time
+                monitor.record_delivery(
+                    arrival_s,
+                    None if origin is None else (arrival_s - origin) / _NS,
+                )
+                if packet.has_header("coflow"):
+                    header = packet.header("coflow")
+                    if header["opcode"] == terminal_opcode:
+                        key = (header["coflow_id"], endpoint.host_id)
+                        left = remaining.get(key, 0)
+                        if left > 0:
+                            remaining[key] = left - 1
+                            if left == 1:
+                                coflow_id = key[0]
+                                pending = open_hosts[coflow_id]
+                                pending.discard(endpoint.host_id)
+                                if not pending:
+                                    monitor.record_cct(
+                                        arrival_s,
+                                        (
+                                            arrival_s
+                                            - first_departure[coflow_id]
+                                        )
+                                        / _NS,
                                     )
-                                    / _NS,
-                                )
-            endpoint.deliver(packet, arrival_s)
+                endpoint.deliver(packet, arrival_s)
 
-        return deliver
+            return deliver
 
-    spans = None
-    if sample is not None:
-        from ..telemetry.sampler import SpanSampler
-        from ..telemetry.spans import SpanRecorder
+        spans = None
+        if sample is not None:
+            from ..telemetry.sampler import SpanSampler
+            from ..telemetry.spans import SpanRecorder
 
-        spans = SpanRecorder(SpanSampler(seed=seed, sample=sample))
+            spans = SpanRecorder(SpanSampler(seed=seed, sample=sample))
 
-    sim = Simulator()
-    fabric = build_fabric(
-        topo,
-        target=target,
-        routing=routing,
-        placement_map=placement_map,
-        hosted_by_switch=hosted_by_switch,
-        app_factory=schedule.app_factory,
-        elements_per_packet=epp,
-        link_latency_ns=link_latency_ns,
-        flowlet_gap_ns=flowlet_gap_ns,
-        interval_ns=window_ns if interval_ns is None else interval_ns,
-        make_telemetry=make_telemetry,
-        sim=sim,
-        host_sink=host_sink,
-        spans=spans,
-    )
+        sim = Simulator()
+        fabric = build_fabric(
+            topo,
+            target=target,
+            routing=routing,
+            placement_map=placement_map,
+            hosted_by_switch=hosted_by_switch,
+            app_factory=schedule.app_factory,
+            elements_per_packet=epp,
+            link_latency_ns=link_latency_ns,
+            flowlet_gap_ns=flowlet_gap_ns,
+            interval_ns=window_ns if interval_ns is None else interval_ns,
+            make_telemetry=make_telemetry,
+            sim=sim,
+            host_sink=host_sink,
+            spans=spans,
+        )
 
-    # Fabric-wide gauges and counters for the window records, summed
-    # over every switch's monitor probes (name patterns per PR 4).
-    occupancy_fns = []
-    backlog_fns = []
-    recirc_fns = []
-    for name in topo.switch_names:
-        switch = fabric.switches[name]
-        for component in switch.walk():
-            contribute = getattr(component, "monitor_probes", None)
-            if contribute is None:
-                continue
-            for probe_name, fn in contribute().items():
-                if probe_name.endswith(".occupancy"):
-                    occupancy_fns.append(fn)
-                elif probe_name.endswith(".recirc_backlog_s"):
-                    backlog_fns.append(fn)
-                elif probe_name.endswith(".recirculations"):
-                    recirc_fns.append(fn)
-    switches = [fabric.switches[name] for name in topo.switch_names]
-    monitor.gauge(
-        "tm_occupancy",
-        lambda now_s: sum(fn(now_s) for fn in occupancy_fns),
-    )
-    monitor.gauge(
-        "recirc_backlog_s",
-        lambda now_s: sum(fn(now_s) for fn in backlog_fns),
-    )
-    monitor.counter(
-        "recirculations",
-        lambda now_s: sum(fn(now_s) for fn in recirc_fns),
-    )
-    monitor.set_drop_counter(
-        lambda now_s: float(
-            sum(len(switch._result.dropped) for switch in switches)
-        ),
-    )
-    monitor.set_offered_schedule(schedule.departure_times_s)
-    policy.validate_metrics(monitor.metric_names())
-    sim.add_time_probe(monitor)
+        # Fabric-wide gauges and counters for the window records, summed
+        # over every switch's monitor probes (names as in
+        # docs/MONITORING.md).
+        occupancy_fns = []
+        backlog_fns = []
+        recirc_fns = []
+        for name in topo.switch_names:
+            switch = fabric.switches[name]
+            for component in switch.walk():
+                contribute = getattr(component, "monitor_probes", None)
+                if contribute is None:
+                    continue
+                for probe_name, fn in contribute().items():
+                    if probe_name.endswith(".occupancy"):
+                        occupancy_fns.append(fn)
+                    elif probe_name.endswith(".recirc_backlog_s"):
+                        backlog_fns.append(fn)
+                    elif probe_name.endswith(".recirculations"):
+                        recirc_fns.append(fn)
+        switches = [fabric.switches[name] for name in topo.switch_names]
+        monitor.gauge(
+            "tm_occupancy",
+            lambda now_s: sum(fn(now_s) for fn in occupancy_fns),
+        )
+        monitor.gauge(
+            "recirc_backlog_s",
+            lambda now_s: sum(fn(now_s) for fn in backlog_fns),
+        )
+        monitor.counter(
+            "recirculations",
+            lambda now_s: sum(fn(now_s) for fn in recirc_fns),
+        )
+        monitor.set_drop_counter(
+            lambda now_s: float(
+                sum(len(switch._result.dropped) for switch in switches)
+            ),
+        )
+        monitor.set_offered_schedule(schedule.departure_times_s)
+        policy.validate_metrics(monitor.metric_names())
+        sim.add_time_probe(monitor)
 
-    span_coflows = inject_arrivals(
-        fabric, schedule.arrivals, stamp_origin=True, spans=spans
-    )
-    sim.run()
+        span_coflows = inject_arrivals(
+            fabric, schedule.arrivals, stamp_origin=True, spans=spans
+        )
+        sim.run()
     monitor.finish(max(sim.now, schedule.duration_s))
     sections = fabric.finalize_sections()
 

@@ -20,6 +20,13 @@ strict.  The entry is also the event's handle: :meth:`Simulator.at`,
 :meth:`Simulator.after` and :meth:`EventQueue.push` return it and
 :meth:`EventQueue.cancel` takes it.  Cancelling or dispatching an entry
 clears its action slot to ``None`` — see docs/KERNEL.md ("Event queue").
+
+:class:`CollectorPause` is the one place the cyclic garbage collector is
+paused.  :meth:`Simulator.run` enters it for the drain, and the run
+entries (``BaseSwitch.run``, ``run_fabric``, ``run_serve``) enter it
+before they build and admit their arrivals, so a whole run, from the
+first packet built to the last event dispatched, sits in one pause —
+see docs/KERNEL.md ("Collector policy").
 """
 
 from __future__ import annotations
@@ -38,6 +45,29 @@ Action = Callable[[], Any]
 Entry = list
 
 _INF = float("inf")
+
+
+class CollectorPause:
+    """Scope that pauses automatic cyclic garbage collection.
+
+    ``with CollectorPause():`` disables the collector on entry and
+    restores the state it found on every exit path, a raise included.
+    A nested entry (or a caller that had disabled the collector itself)
+    finds it off and leaves it off, so only the outermost scope turns it
+    back on; the collector then resumes on its normal schedule.  Sound
+    only because a run creates no reference cycles (docs/KERNEL.md,
+    "Collector policy"; audited by ``tests/sim/test_collector.py``).
+    """
+
+    __slots__ = ("_restore",)
+
+    def __enter__(self) -> None:
+        self._restore = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self._restore:
+            gc.enable()
 
 
 class EventQueue:
@@ -245,19 +275,18 @@ class Simulator:
         instrumented reference loop honours everything — see
         docs/KERNEL.md for the fast-path discipline.
 
-        Automatic cyclic garbage collection is paused for the drain and
-        restored on exit (a caller that had disabled it keeps it
-        disabled): event actions create no reference cycles, so the
-        collector would only re-traverse the live packet heap — see
-        "Collector policy" in docs/KERNEL.md.
+        The drain runs inside a :class:`CollectorPause`: event actions
+        create no reference cycles, so the collector would only
+        re-traverse the live packet heap.  Inside a run entry's pause
+        (``BaseSwitch.run``, ``run_fabric``, ``run_serve``) this nested
+        scope leaves the collector alone — see "Collector policy" in
+        docs/KERNEL.md.
         """
         if until is not None and not until >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"run(until={until}) would move the clock back from {self.now}"
             )
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with CollectorPause():
             if self.trace is None and max_events is None:
                 if self.time_probe is None:
                     return self._run_fast(until, _INF)
@@ -265,9 +294,6 @@ class Simulator:
                 if deadline is not None:
                     return self._run_fast(until, deadline)
             return self._run_instrumented(until, max_events)
-        finally:
-            if enabled:
-                gc.enable()
 
     def _run_fast(self, until: float | None, deadline: float) -> int:
         """Uninstrumented dispatch with deadline-aware time probes.

@@ -22,7 +22,7 @@ never visible to the data plane.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from ..errors import ConfigError
 from ..net.headers import OP_DATA, OP_GET, OP_PUT
@@ -75,12 +75,15 @@ _HH_TABLE_CAPACITY = 32
 _TB_CAPACITY = 16.0
 _TB_REFILL_FRACTION = 0.5
 
+#: A paced ``(time, packet)`` stream, time-ordered.
+Arrivals = Iterator[tuple[float, Packet]]
+
 
 @dataclass
 class SingleStream:
     """One single-switch stateful run: the app, its stream, its truth.
 
-    ``arrivals`` must be called *after* the switch is constructed — the
+    ``arrivals`` must be consumed *after* the switch is constructed — the
     generator groups multi-key packets by the app's bound placement so
     every key in a packet lands on the partition that owns its state
     (the same contract as the kv-cache app's partition-local batches).
@@ -89,10 +92,15 @@ class SingleStream:
     workload: str
     app: StatefulApp
     truth: dict = field(default_factory=dict)
-    _make: Callable[[float], list[tuple[float, Packet]]] = None  # type: ignore
+    _make: Callable[[float], Arrivals] = None  # type: ignore
 
-    def arrivals(self, port_speed_bps: float) -> list[tuple[float, Packet]]:
-        return self._make(port_speed_bps)
+    def arrivals(self, port_speed_bps: float) -> Arrivals:
+        """The paced ``(time, packet)`` stream, built on the first ``next()``.
+
+        Lazy so a switch run builds the packets inside its collector
+        pause, and streamed so the run does not pin spent requests.
+        """
+        yield from self._make(port_speed_bps)
 
 
 def _zipf_key(rng, skew: float, space: int) -> int:
@@ -106,15 +114,13 @@ def _sample_wire_bytes(elements_per_packet: int) -> int:
     return sample.wire_bytes
 
 
-def _paced(
-    per_port: dict[int, list[Packet]], link_bps: float
-) -> list[tuple[float, Packet]]:
+def _paced(per_port: dict[int, list[Packet]], link_bps: float) -> Arrivals:
     sources = [
         DeterministicSource(port, link_bps, per_port[port])
         for port in sorted(per_port)
         if per_port[port]
     ]
-    return list(merge_sources(sources))
+    return merge_sources(sources)
 
 
 def _aggregate_pps(link_bps: float, wire_bytes: int) -> float:
@@ -174,7 +180,7 @@ def _single_tokenbucket(
     )
     rng = make_rng(stable_hash64(f"stateful-tokenbucket/{seed}") % (2**32))
 
-    def make(link_bps: float) -> list[tuple[float, Packet]]:
+    def make(link_bps: float) -> Arrivals:
         stream = []
         for i in range(packets):
             flow = _zipf_key(rng, skew, flows)
@@ -245,7 +251,7 @@ def _single_synflood(
         "sources": sources,
     }
 
-    def make(link_bps: float) -> list[tuple[float, Packet]]:
+    def make(link_bps: float) -> Arrivals:
         return _paced(_round_robin_ports(stream), link_bps)
 
     return SingleStream("synflood", app, truth, make)
@@ -276,7 +282,7 @@ def _single_heavyhitter(
         "heavy": sorted(k for k, c in counts.items() if c >= _HH_THRESHOLD),
     }
 
-    def make(link_bps: float) -> list[tuple[float, Packet]]:
+    def make(link_bps: float) -> Arrivals:
         # Partition-local batches: every key in a packet must live on the
         # placement partition that owns its sketch rows, so group the key
         # stream by the app's bound placement before packing.
@@ -321,7 +327,7 @@ def _single_keycache(
     )
     rng = make_rng(stable_hash64(f"stateful-keycache/{seed}") % (2**32))
 
-    def make(link_bps: float) -> list[tuple[float, Packet]]:
+    def make(link_bps: float) -> Arrivals:
         stream: list[Packet] = []
         for i in range(packets):
             key = _zipf_key(rng, skew, key_space)

@@ -54,14 +54,16 @@ class TestCoflowArrivals:
         ]
         assert len(flushes) == 2  # one per input flow
 
+    # The stream is built lazily, but its arguments are checked eagerly:
+    # both errors raise at call time, before any iteration.
     def test_empty_coflow_rejected(self):
         with pytest.raises(ConfigError):
-            list(coflow_arrivals(Coflow(1), GBPS, 1))
+            coflow_arrivals(Coflow(1), GBPS, 1)
 
     def test_invalid_packing_rejected(self):
         coflow = aggregation_coflow(1, [0, 1], 8)
         with pytest.raises(ConfigError):
-            list(coflow_arrivals(coflow, GBPS, 0))
+            coflow_arrivals(coflow, GBPS, 0)
 
 
 class TestShuffledDestination:

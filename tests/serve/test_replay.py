@@ -58,6 +58,14 @@ class TestParseDuration:
         with pytest.raises(ConfigError, match="positive"):
             parse_duration_ns(text)
 
+    @pytest.mark.parametrize(
+        "text", ["nan", "inf", "nanus", "1e400s", "1e300s"]
+    )
+    def test_rejects_non_finite(self, text):
+        # 1e300s is finite in seconds but overflows in ns.
+        with pytest.raises(ConfigError, match="finite"):
+            parse_duration_ns(text)
+
 
 class TestBurstPhase:
     def test_parse(self):
@@ -82,6 +90,11 @@ class TestBurstPhase:
     def test_rejects_nonpositive_factor(self):
         with pytest.raises(ConfigError):
             BurstPhase(0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("text", ["nan@1us:2us", "inf@1us:2us"])
+    def test_rejects_non_finite_factor(self, text):
+        with pytest.raises(ConfigError, match="burst factor .* finite"):
+            BurstPhase.parse(text)
 
 
 class TestRateProfile:
@@ -121,6 +134,11 @@ class TestRateProfile:
             RateProfile(0.0)
         with pytest.raises(ConfigError):
             RateProfile(1.0, ramp_ns=-1.0)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ConfigError, match="rate .* finite"):
+            RateProfile(rate)
 
 
 class TestBuildSchedule:
@@ -180,6 +198,11 @@ class TestBuildSchedule:
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ConfigError, match="positive"):
             _schedule(duration_ns=0.0)
+
+    @pytest.mark.parametrize("duration_ns", [float("nan"), float("inf")])
+    def test_rejects_non_finite_duration(self, duration_ns):
+        with pytest.raises(ConfigError, match="finite"):
+            _schedule(duration_ns=duration_ns)
 
     def test_round_cap_guards_runaway_generation(self, monkeypatch):
         # A profile needing unboundedly many rounds to reach the horizon

@@ -8,6 +8,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.errors import ConfigError
+from repro.serve.replay import MAX_WINDOWS
 from repro.serve.runner import run_serve
 from repro.telemetry.ledger import SERVE_LEDGER_SCHEMA, load_ledger
 
@@ -122,6 +123,25 @@ class TestVerdictsAndErrors:
                 window_ns=500.0,
             )
 
+    @pytest.mark.parametrize(
+        "duration_ns,window_ns",
+        [
+            (1_000.0, 0.001),  # 10**6 windows
+            ((MAX_WINDOWS + 1) * 500.0, 500.0),
+            (float("inf"), 500.0),
+            (float("nan"), 500.0),
+            (4_000.0, float("nan")),
+        ],
+    )
+    def test_window_count_is_capped(self, duration_ns, window_ns):
+        with pytest.raises(ConfigError, match="window"):
+            run_serve(
+                "leaf-spine-2x2",
+                "fabric-allreduce",
+                duration_ns=duration_ns,
+                window_ns=window_ns,
+            )
+
     def test_unknown_slo_metric_fails_fast(self):
         with pytest.raises(ConfigError, match="bogus"):
             run_serve(
@@ -223,3 +243,27 @@ class TestServeCLI:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert fragment in err
+
+    @pytest.mark.parametrize(
+        "flags,fragment",
+        [
+            (["--duration", "nan"], "duration must be finite"),
+            (["--duration", "1e400s"], "duration must be finite"),
+            (["--rate", "inf"], "rate must be positive and finite"),
+            (["--rate", "nan"], "rate must be positive and finite"),
+            (["--burst", "nan@1us:2us"], "burst factor must be positive"),
+            (["--window", "0.001ns", "--duration", "1us"],
+             f"more than {MAX_WINDOWS} windows"),
+        ],
+    )
+    def test_non_finite_and_runaway_inputs_exit_two(
+        self, flags, fragment, capsys
+    ):
+        """Rejected at parse time with one line, not after building
+        thousands of workload rounds or millions of windows."""
+        argv = ["serve", "leaf-spine-2x2", "fabric-allreduce", *flags]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert fragment in captured.err
