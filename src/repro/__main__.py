@@ -28,554 +28,60 @@ Also hosts the telemetry tooling:
   cells, runs them on a worker pool with caching and a resumable
   journal, and writes one diffable aggregate report.
 
-Subcommands live in the :data:`_SUBCOMMANDS` registry; usage text,
-``--help``, and unknown-subcommand errors are all generated from it, so
-they cannot drift apart.
+Subcommands live in the :data:`_SUBCOMMANDS` table: each entry holds its
+positionals and, for every flag, the runner keyword, usage metavar and
+type converter.  One scan loop reads it, and usage text, ``--help`` and
+unknown-subcommand errors are generated from it, so they cannot drift
+apart.  The CLI only converts types: a handler passes its runner just
+the flags given, so the runner's signature holds every default and the
+function that owns a value checks its range.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import sys
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError, SimulationError
+from .serve.replay import BurstPhase, parse_duration_ns
+
+
+class _Flag(NamedTuple):
+    """One ``--flag``: the runner keyword it sets and how its value is read.
+
+    A flag with no ``metavar`` is a switch that sets ``key`` to
+    ``const``; ``repeat`` collects every occurrence into a list.
+    """
+
+    key: str
+    metavar: str | None = None
+    convert: Callable[[str], object] = str
+    repeat: bool = False
+    const: object = True
 
 
 class _Subcommand(NamedTuple):
-    """One CLI subcommand: its usage synopsis and its handler."""
+    """One CLI subcommand: positionals, flags, and the handler that gets
+    the positionals plus the converted flags that were given."""
 
-    usage: str
-    handler: Callable[[list[str], bool], int]
-
-
-def _parse_options(
-    args: list[str],
-    command: str,
-    value_options: dict[str, str],
-) -> tuple[list[str], dict[str, str]]:
-    """Split ``args`` into positionals and ``--option value`` pairs.
-
-    ``value_options`` maps accepted option flags to the destination key;
-    every flag takes exactly one value.  Unknown dashed arguments raise.
-    """
-    positional: list[str] = []
-    options: dict[str, str] = {}
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if arg in value_options:
-            if i + 1 >= len(args):
-                raise ConfigError(f"{arg} requires a value")
-            options[value_options[arg]] = args[i + 1]
-            i += 2
-        elif arg.startswith("-"):
-            raise ConfigError(f"unknown {command} option {arg!r}")
-        else:
-            positional.append(arg)
-            i += 1
-    return positional, options
+    positionals: tuple[str, ...]
+    arity: str  # the wrong-positional-count error; ``{}`` is the name
+    flags: dict[str, _Flag]
+    handler: Callable[[list[str], dict, bool], int]
 
 
-def _print_run(run, json_mode: bool) -> None:
-    if json_mode:
-        print(json.dumps(run.summary(), indent=1))
-    else:
-        for line in run.lines:
-            print(line)
+def _percent(text: str) -> float:
+    """``--threshold`` reads a percentage; ledger diffs take a fraction."""
+    return float(text) / 100.0
 
 
-def _parse_seed(options: dict[str, str]) -> int | None:
-    """The shared ``--seed`` option: a non-negative workload seed."""
-    if "seed" not in options:
-        return None
-    try:
-        return int(options["seed"])
-    except ValueError:
-        raise ConfigError(
-            f"--seed must be an integer, got {options['seed']!r}"
-        )
-
-
-def _parse_sample(options: dict[str, str]) -> int | None:
-    """The shared ``--sample`` option: head-sample 1 in N packets."""
-    if "sample" not in options:
-        return None
-    try:
-        sample = int(options["sample"])
-    except ValueError:
-        raise ConfigError(
-            f"--sample must be an integer, got {options['sample']!r}"
-        )
-    if sample < 1:
-        raise ConfigError(f"--sample must be >= 1, got {sample}")
-    return sample
-
-
-def _main_trace(args: list[str], json_mode: bool) -> int:
-    from .telemetry.runner import run_trace
-
-    positional, options = _parse_options(
-        args, "trace", {"--out": "out", "--seed": "seed", "--sample": "sample"}
-    )
-    if len(positional) != 1:
-        raise ConfigError(
-            "trace takes exactly one workload name; "
-            "see python -m repro --help"
-        )
-    run = run_trace(
-        positional[0],
-        out=options.get("out"),
-        seed=_parse_seed(options),
-        sample=_parse_sample(options),
-    )
-    _print_run(run, json_mode)
-    return 0
-
-
-def _main_spans(args: list[str], json_mode: bool) -> int:
-    from .telemetry.runner import DEFAULT_SAMPLE, run_spans
-
-    positional, options = _parse_options(
-        args,
-        "spans",
-        {
-            "--target": "target",
-            "--sample": "sample",
-            "--seed": "seed",
-            "--ledger": "ledger",
-            "--out": "ledger",  # alias, parallel to trace --out
-            "--chrome": "chrome",
-        },
-    )
-    if len(positional) != 2:
-        raise ConfigError(
-            "spans takes a topology spec and a workload name "
-            "(e.g. spans leaf-spine-2x2 fabric-allreduce); "
-            "see python -m repro --help"
-        )
-    run = run_spans(
-        positional[0],
-        positional[1],
-        target=options.get("target", "both"),
-        sample=_parse_sample(options) or DEFAULT_SAMPLE,
-        seed=_parse_seed(options) or 0,
-        ledger_out=options.get("ledger"),
-        chrome_out=options.get("chrome"),
-    )
-    _print_run(run, json_mode)
-    return 0
-
-
-def _main_profile(args: list[str], json_mode: bool) -> int:
-    from .telemetry.runner import run_profile
-
-    positional, options = _parse_options(
-        args, "profile", {"--chrome": "chrome", "--seed": "seed"}
-    )
-    if len(positional) != 1:
-        raise ConfigError(
-            "profile takes exactly one workload name; "
-            "see python -m repro --help"
-        )
-    run = run_profile(
-        positional[0],
-        chrome_out=options.get("chrome"),
-        seed=_parse_seed(options),
-    )
-    _print_run(run, json_mode)
-    return 0
-
-
-def _main_monitor(args: list[str], json_mode: bool) -> int:
-    from .telemetry.runner import run_monitor
-
-    positional, options = _parse_options(
-        args,
-        "monitor",
-        {
-            "--interval": "interval",
-            "--csv": "csv",
-            "--chrome": "chrome",
-            "--ledger": "ledger",
-            "--seed": "seed",
-        },
-    )
-    if len(positional) != 1:
-        raise ConfigError(
-            "monitor takes exactly one workload name; "
-            "see python -m repro --help"
-        )
-    interval_ns: float | None = None
-    if "interval" in options:
-        try:
-            interval_ns = float(options["interval"])
-        except ValueError:
-            raise ConfigError(
-                f"--interval must be a number of simulated nanoseconds, "
-                f"got {options['interval']!r}"
-            )
-    run = run_monitor(
-        positional[0],
-        interval_ns=interval_ns,
-        ledger_out=options.get("ledger"),
-        csv_out=options.get("csv"),
-        chrome_out=options.get("chrome"),
-        seed=_parse_seed(options),
-    )
-    _print_run(run, json_mode)
-    return 0
-
-
-def _main_fabric(args: list[str], json_mode: bool) -> int:
-    from .fabric import run_fabric
-    from .telemetry.ledger import write_ledger
-
-    positional, options = _parse_options(
-        args,
-        "fabric",
-        {
-            "--target": "target",
-            "--placement": "placement",
-            "--routing": "routing",
-            "--coflows": "coflows",
-            "--vector": "vector",
-            "--load": "load",
-            "--ledger": "ledger",
-            "--seed": "seed",
-        },
-    )
-    if len(positional) != 2:
-        raise ConfigError(
-            "fabric takes a topology spec and a workload name "
-            "(e.g. fabric leaf-spine-2x2 fabric-allreduce); "
-            "see python -m repro --help"
-        )
-
-    def _int_option(key: str, default: int) -> int:
-        if key not in options:
-            return default
-        try:
-            return int(options[key])
-        except ValueError:
-            raise ConfigError(
-                f"--{key} must be an integer, got {options[key]!r}"
-            )
-
-    load = 1.0
-    if "load" in options:
-        try:
-            load = float(options["load"])
-        except ValueError:
-            raise ConfigError(
-                f"--load must be a number in (0, 1], got {options['load']!r}"
-            )
-    run = run_fabric(
-        positional[0],
-        positional[1],
-        target=options.get("target", "adcp"),
-        placement=options.get("placement", "ingress"),
-        routing=options.get("routing", "ecmp"),
-        seed=_parse_seed(options) or 0,
-        coflows=_int_option("coflows", 2),
-        vector=_int_option("vector", 64),
-        load=load,
-    )
-    if "ledger" in options:
-        path = write_ledger(options["ledger"], run.ledger())
-        print(f"ledger: {path}", file=sys.stderr)
-    if json_mode:
-        print(json.dumps(run.summary(), indent=1))
-    else:
-        for line in run.lines():
-            print(line)
-    return 0
-
-
-def _main_serve(args: list[str], json_mode: bool) -> int:
-    from .serve import BurstPhase, parse_duration_ns, run_serve
-    from .serve.runner import (
-        DEFAULT_DURATION_NS,
-        DEFAULT_RATE,
-        DEFAULT_WINDOW_NS,
-    )
-    from .telemetry.ledger import write_ledger
-
-    # serve takes repeated --slo and --burst flags, which the shared
-    # single-value parser doesn't model; parse by hand, same error style.
-    positional: list[str] = []
-    options: dict[str, str] = {}
-    slos: list[str] = []
-    bursts: list[BurstPhase] = []
-    value_options = {
-        "--target": "target",
-        "--placement": "placement",
-        "--routing": "routing",
-        "--rate": "rate",
-        "--arrivals": "arrivals",
-        "--duration": "duration",
-        "--window": "window",
-        "--ramp": "ramp",
-        "--coflows": "coflows",
-        "--vector": "vector",
-        "--interval": "interval",
-        "--ledger": "ledger",
-        "--stream": "stream",
-        "--seed": "seed",
-        "--sample": "sample",
-    }
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if arg == "--slo":
-            if i + 1 >= len(args):
-                raise ConfigError("--slo requires an expression")
-            slos.append(args[i + 1])
-            i += 2
-        elif arg == "--burst":
-            if i + 1 >= len(args):
-                raise ConfigError("--burst requires FACTOR@START:END")
-            bursts.append(BurstPhase.parse(args[i + 1]))
-            i += 2
-        elif arg in value_options:
-            if i + 1 >= len(args):
-                raise ConfigError(f"{arg} requires a value")
-            options[value_options[arg]] = args[i + 1]
-            i += 2
-        elif arg.startswith("-"):
-            raise ConfigError(f"unknown serve option {arg!r}")
-        else:
-            positional.append(arg)
-            i += 1
-    if len(positional) != 2:
-        raise ConfigError(
-            "serve takes a topology spec and a workload name "
-            "(e.g. serve leaf-spine-2x2 fabric-allreduce); "
-            "see python -m repro --help"
-        )
-
-    def _int_option(key: str, default: int) -> int:
-        if key not in options:
-            return default
-        try:
-            return int(options[key])
-        except ValueError:
-            raise ConfigError(
-                f"--{key} must be an integer, got {options[key]!r}"
-            )
-
-    def _duration_option(key: str, default_ns: float) -> float:
-        if key not in options:
-            return default_ns
-        return parse_duration_ns(options[key])
-
-    rate = DEFAULT_RATE
-    if "rate" in options:
-        try:
-            rate = float(options["rate"])
-        except ValueError:
-            raise ConfigError(
-                f"--rate must be a number, got {options['rate']!r}"
-            )
-    interval_ns: float | None = None
-    if "interval" in options:
-        try:
-            interval_ns = float(options["interval"])
-        except ValueError:
-            raise ConfigError(
-                f"--interval must be a number of ns, "
-                f"got {options['interval']!r}"
-            )
-
-    stream_file = None
-    if "stream" in options:
-        stream_file = open(options["stream"], "w")
-
-    def emit_window(record: dict) -> None:
-        if json_mode:
-            print(
-                json.dumps({"type": "window", **record}, sort_keys=True),
-                flush=True,
-            )
-        else:
-            from .serve.runner import _window_line
-
-            print(_window_line(record), flush=True)
-        if stream_file is not None:
-            stream_file.write(json.dumps(record, sort_keys=True) + "\n")
-            stream_file.flush()
-
-    try:
-        run = run_serve(
-            positional[0],
-            positional[1],
-            target=options.get("target", "adcp"),
-            placement=options.get("placement", "ingress"),
-            routing=options.get("routing", "ecmp"),
-            seed=_parse_seed(options) or 0,
-            rate=rate,
-            arrivals=options.get("arrivals", "poisson"),
-            duration_ns=_duration_option("duration", DEFAULT_DURATION_NS),
-            window_ns=_duration_option("window", DEFAULT_WINDOW_NS),
-            ramp_ns=_duration_option("ramp", 0.0) if "ramp" in options else 0.0,
-            bursts=tuple(bursts),
-            coflows=_int_option("coflows", 2),
-            vector=_int_option("vector", 64),
-            slos=slos,
-            interval_ns=interval_ns,
-            on_window=emit_window,
-            sample=_parse_sample(options),
-        )
-        # Sampled span hops join the same JSONL stream as the windows,
-        # tagged with their own record type.
-        for record in run.span_records():
-            line = json.dumps({"type": "span", **record}, sort_keys=True)
-            if json_mode:
-                print(line, flush=True)
-            if stream_file is not None:
-                stream_file.write(line + "\n")
-    finally:
-        if stream_file is not None:
-            stream_file.close()
-    if "ledger" in options:
-        path = write_ledger(options["ledger"], run.ledger())
-        print(f"ledger: {path}", file=sys.stderr)
-    if json_mode:
-        print(json.dumps(run.summary(), sort_keys=True))
-    else:
-        for line in run.lines():
-            print(line)
-    return run.exit_code
-
-
-def _main_diff(args: list[str], json_mode: bool) -> int:
-    from .telemetry.ledger import (
-        DEFAULT_THRESHOLD,
-        diff_ledgers,
-        load_ledger,
-    )
-
-    positional, options = _parse_options(
-        args, "diff", {"--threshold": "threshold"}
-    )
-    if len(positional) != 2:
-        raise ConfigError(
-            "diff takes exactly two ledger paths (base, new); "
-            "see python -m repro --help"
-        )
-    threshold = DEFAULT_THRESHOLD
-    if "threshold" in options:
-        try:
-            threshold = float(options["threshold"]) / 100.0
-        except ValueError:
-            raise ConfigError(
-                f"--threshold must be a percentage, "
-                f"got {options['threshold']!r}"
-            )
-    diff = diff_ledgers(
-        load_ledger(positional[0]),
-        load_ledger(positional[1]),
-        threshold=threshold,
-    )
-    if json_mode:
-        print(json.dumps(diff.to_json(), indent=1))
-    else:
-        for line in diff.lines():
-            print(line)
-    return diff.exit_code
-
-
-def _main_campaign(args: list[str], json_mode: bool) -> int:
-    from .campaign import resolve_spec, run_campaign
-    from .campaign.pool import (
-        DEFAULT_MAX_RETRIES,
-        DEFAULT_TIMEOUT_S,
-    )
-
-    # campaign takes repeated --axis and boolean flags, which the shared
-    # single-value parser doesn't model; parse by hand, same error style.
-    positional: list[str] = []
-    options: dict[str, str] = {}
-    axes: dict[str, list] = {}
-    resume = False
-    use_cache = True
-    value_options = {
-        "--workers": "workers",
-        "--out": "out",
-        "--cache-dir": "cache_dir",
-        "--timeout": "timeout",
-        "--retries": "retries",
-    }
-    i = 0
-    while i < len(args):
-        arg = args[i]
-        if arg == "--resume":
-            resume = True
-            i += 1
-        elif arg == "--no-cache":
-            use_cache = False
-            i += 1
-        elif arg == "--axis":
-            if i + 1 >= len(args):
-                raise ConfigError("--axis requires name=v1,v2,...")
-            axis, values = _parse_axis_override(args[i + 1])
-            axes[axis] = values
-            i += 2
-        elif arg in value_options:
-            if i + 1 >= len(args):
-                raise ConfigError(f"{arg} requires a value")
-            options[value_options[arg]] = args[i + 1]
-            i += 2
-        elif arg.startswith("-"):
-            raise ConfigError(f"unknown campaign option {arg!r}")
-        else:
-            positional.append(arg)
-            i += 1
-    if len(positional) != 1:
-        raise ConfigError(
-            "campaign takes exactly one spec (a builtin name or a "
-            ".toml/.json path); see python -m repro --help"
-        )
-
-    def _int_option(key: str, default: int, minimum: int) -> int:
-        if key not in options:
-            return default
-        try:
-            value = int(options[key])
-        except ValueError:
-            raise ConfigError(
-                f"--{key} must be an integer, got {options[key]!r}"
-            )
-        if value < minimum:
-            raise ConfigError(f"--{key} must be >= {minimum}")
-        return value
-
-    timeout_s: float | None = DEFAULT_TIMEOUT_S
-    if "timeout" in options:
-        try:
-            timeout_s = float(options["timeout"])
-        except ValueError:
-            raise ConfigError(
-                f"--timeout must be a number of seconds, "
-                f"got {options['timeout']!r}"
-            )
-        if timeout_s <= 0:
-            timeout_s = None  # 0 or negative disables the timeout
-
-    spec = resolve_spec(positional[0]).restrict_axes(axes)
-    run = run_campaign(
-        spec,
-        workers=_int_option("workers", 1, 1),
-        resume=resume,
-        out_dir=options.get("out"),
-        cache_dir=options.get("cache_dir"),
-        use_cache=use_cache,
-        timeout_s=timeout_s,
-        max_retries=_int_option("retries", DEFAULT_MAX_RETRIES, 0),
-        progress=lambda message: print(message, file=sys.stderr, flush=True),
-    )
-    _print_run(run, json_mode)
-    return run.exit_code
+def _timeout(text: str) -> float | None:
+    """Seconds; a finite zero or negative value disables the timeout."""
+    value = float(text)
+    return None if value <= 0 and math.isfinite(value) else value
 
 
 def _parse_axis_override(text: str) -> tuple[str, list]:
@@ -613,122 +119,331 @@ def _parse_axis_override(text: str) -> tuple[str, list]:
     return axis, values
 
 
-def _main_stateful(args: list[str], json_mode: bool) -> int:
-    from .stateful.runner import run_stateful
+def _scan(name: str, args: list[str]) -> tuple[list[str], dict]:
+    """Split ``args`` into positionals and converted flag values.
 
-    positional, options = _parse_options(
-        args,
-        "stateful",
-        {
-            "--target": "target",
-            "--topology": "topology",
-            "--flows": "flows",
-            "--skew": "skew",
-            "--packets": "packets",
-            "--ledger": "ledger",
-            "--seed": "seed",
-        },
-    )
-    if len(positional) != 1:
-        raise ConfigError(
-            "stateful takes exactly one workload name "
-            "(tokenbucket, synflood, heavyhitter, keycache); "
-            "see python -m repro --help"
-        )
-
-    def _int_option(key: str, default: int) -> int:
-        if key not in options:
-            return default
+    The options hold only the flags given, keyed by runner keyword.
+    """
+    sub = _SUBCOMMANDS[name]
+    positional: list[str] = []
+    options: dict = {}
+    rest = iter(args)
+    for arg in rest:
+        flag = sub.flags.get(arg)
+        if flag is None:
+            if arg.startswith("-"):
+                raise ConfigError(f"unknown {name} option {arg!r}")
+            positional.append(arg)
+            continue
+        if flag.metavar is None:
+            options[flag.key] = flag.const
+            continue
+        text = next(rest, None)
+        if text is None:
+            raise ConfigError(f"{arg} requires a value")
         try:
-            return int(options[key])
+            value = flag.convert(text)
         except ValueError:
-            raise ConfigError(
-                f"--{key} must be an integer, got {options[key]!r}"
-            )
+            kind = "an integer" if flag.convert is int else "a number"
+            raise ConfigError(f"{arg} must be {kind}, got {text!r}")
+        if flag.repeat:
+            options.setdefault(flag.key, []).append(value)
+        else:
+            options[flag.key] = value
+    if len(positional) != len(sub.positionals):
+        raise ConfigError(
+            f"{name} {sub.arity.format(name)}; see python -m repro --help"
+        )
+    return positional, options
 
-    try:
-        skew = float(options.get("skew", 1.2))
-    except ValueError:
-        raise ConfigError(f"--skew must be a number, got {options['skew']!r}")
-    run = run_stateful(
-        positional[0],
-        target=options.get("target", "both"),
-        topology=options.get("topology", "single"),
-        flows=_int_option("flows", 64),
-        skew=skew,
-        packets=_int_option("packets", 400),
-        seed=_parse_seed(options),
-        ledger_out=options.get("ledger"),
-    )
-    _print_run(run, json_mode)
+
+def _print_run(run, json_mode: bool) -> None:
+    if json_mode:
+        print(json.dumps(run.summary(), indent=1))
+    else:
+        for line in run.lines:
+            print(line)
+
+
+def _write_ledger(path: str | None, run) -> None:
+    from .telemetry.ledger import write_ledger
+
+    if path is not None:
+        written = write_ledger(path, run.ledger())
+        print(f"ledger: {written}", file=sys.stderr)
+
+
+def _main_trace(args: list[str], options: dict, json_mode: bool) -> int:
+    from .telemetry.runner import run_trace
+
+    _print_run(run_trace(*args, **options), json_mode)
     return 0
 
 
-#: The single source of truth for subcommands: usage text, ``--help``,
-#: dispatch, and unknown-subcommand hints all derive from this table.
+def _main_profile(args: list[str], options: dict, json_mode: bool) -> int:
+    from .telemetry.runner import run_profile
+
+    _print_run(run_profile(*args, **options), json_mode)
+    return 0
+
+
+def _main_monitor(args: list[str], options: dict, json_mode: bool) -> int:
+    from .telemetry.runner import run_monitor
+
+    _print_run(run_monitor(*args, **options), json_mode)
+    return 0
+
+
+def _main_spans(args: list[str], options: dict, json_mode: bool) -> int:
+    from .telemetry.runner import run_spans
+
+    _print_run(run_spans(*args, **options), json_mode)
+    return 0
+
+
+def _main_stateful(args: list[str], options: dict, json_mode: bool) -> int:
+    from .stateful.runner import run_stateful
+
+    _print_run(run_stateful(*args, **options), json_mode)
+    return 0
+
+
+def _main_fabric(args: list[str], options: dict, json_mode: bool) -> int:
+    from .fabric import run_fabric
+
+    ledger = options.pop("ledger", None)
+    run = run_fabric(*args, **options)
+    _write_ledger(ledger, run)
+    if json_mode:
+        print(json.dumps(run.summary(), indent=1))
+    else:
+        for line in run.lines():
+            print(line)
+    return 0
+
+
+def _main_serve(args: list[str], options: dict, json_mode: bool) -> int:
+    from .serve import run_serve
+    from .serve.runner import _window_line
+
+    ledger = options.pop("ledger", None)
+    stream = options.pop("stream", None)
+    with (
+        open(stream, "w") if stream is not None else contextlib.nullcontext()
+    ) as stream_file:
+
+        def emit_window(record: dict) -> None:
+            if json_mode:
+                print(
+                    json.dumps({"type": "window", **record}, sort_keys=True),
+                    flush=True,
+                )
+            else:
+                print(_window_line(record), flush=True)
+            if stream_file is not None:
+                stream_file.write(json.dumps(record, sort_keys=True) + "\n")
+                stream_file.flush()
+
+        run = run_serve(*args, on_window=emit_window, **options)
+        # Sampled span hops join the same JSONL stream as the windows,
+        # tagged with their own record type.
+        for record in run.span_records():
+            line = json.dumps({"type": "span", **record}, sort_keys=True)
+            if json_mode:
+                print(line, flush=True)
+            if stream_file is not None:
+                stream_file.write(line + "\n")
+    _write_ledger(ledger, run)
+    if json_mode:
+        print(json.dumps(run.summary(), sort_keys=True))
+    else:
+        for line in run.lines():
+            print(line)
+    return run.exit_code
+
+
+def _main_diff(args: list[str], options: dict, json_mode: bool) -> int:
+    from .telemetry.ledger import diff_ledgers, load_ledger
+
+    diff = diff_ledgers(*map(load_ledger, args), **options)
+    if json_mode:
+        print(json.dumps(diff.to_json(), indent=1))
+    else:
+        for line in diff.lines():
+            print(line)
+    return diff.exit_code
+
+
+def _main_campaign(args: list[str], options: dict, json_mode: bool) -> int:
+    from .campaign import resolve_spec, run_campaign
+
+    axes = dict(options.pop("axes", ()))
+    run = run_campaign(
+        resolve_spec(args[0]).restrict_axes(axes),
+        progress=lambda message: print(message, file=sys.stderr, flush=True),
+        **options,
+    )
+    _print_run(run, json_mode)
+    return run.exit_code
+
+
+_ONE_WORKLOAD = "takes exactly one workload name"
+_TOPOLOGY_WORKLOAD = (
+    "takes a topology spec and a workload name "
+    "(e.g. {} leaf-spine-2x2 fabric-allreduce)"
+)
+_SEED = {"--seed": _Flag("seed", "N", int)}
+_FABRIC = {
+    "--target": _Flag("target", "rmt|adcp"),
+    "--placement": _Flag("placement", "ingress|central|hash"),
+    "--routing": _Flag("routing", "ecmp|flowlet"),
+    "--coflows": _Flag("coflows", "N", int),
+    "--vector": _Flag("vector", "N", int),
+}
+
+#: The single source of truth for subcommands: flags, usage text,
+#: ``--help``, dispatch, and unknown-subcommand hints all derive from
+#: this table.
 _SUBCOMMANDS: dict[str, _Subcommand] = {
     "trace": _Subcommand(
-        "trace <workload> [--out PATH] [--sample N] [--seed N] [--json]",
+        ("<workload>",),
+        _ONE_WORKLOAD,
+        {
+            "--out": _Flag("out", "PATH"),
+            "--sample": _Flag("sample", "N", int),
+            **_SEED,
+        },
         _main_trace,
     ),
     "profile": _Subcommand(
-        "profile <workload> [--chrome PATH] [--seed N] [--json]",
+        ("<workload>",),
+        _ONE_WORKLOAD,
+        {"--chrome": _Flag("chrome_out", "PATH"), **_SEED},
         _main_profile,
     ),
     "monitor": _Subcommand(
-        "monitor <workload> [--interval NS] [--ledger PATH] "
-        "[--csv PATH] [--chrome PATH] [--seed N] [--json]",
+        ("<workload>",),
+        _ONE_WORKLOAD,
+        {
+            "--interval": _Flag("interval_ns", "NS", float),
+            "--ledger": _Flag("ledger_out", "PATH"),
+            "--csv": _Flag("csv_out", "PATH"),
+            "--chrome": _Flag("chrome_out", "PATH"),
+            **_SEED,
+        },
         _main_monitor,
     ),
     "fabric": _Subcommand(
-        "fabric <topology> <workload> [--target rmt|adcp] "
-        "[--placement ingress|central|hash] [--routing ecmp|flowlet] "
-        "[--coflows N] [--vector N] [--load F] [--ledger PATH] "
-        "[--seed N] [--json]",
+        ("<topology>", "<workload>"),
+        _TOPOLOGY_WORKLOAD,
+        {
+            **_FABRIC,
+            "--load": _Flag("load", "F", float),
+            "--ledger": _Flag("ledger", "PATH"),
+            **_SEED,
+        },
         _main_fabric,
     ),
     "serve": _Subcommand(
-        "serve <topology> <workload> [--target rmt|adcp] "
-        "[--placement ingress|central|hash] [--routing ecmp|flowlet] "
-        "[--rate F] [--arrivals poisson|periodic] [--duration DUR] "
-        "[--window DUR] [--ramp DUR] [--burst FACTOR@START:END] "
-        "[--slo METRIC<=BOUND ...] [--coflows N] [--vector N] "
-        "[--interval NS] [--sample N] [--ledger PATH] [--stream PATH] "
-        "[--seed N] [--json]",
+        ("<topology>", "<workload>"),
+        _TOPOLOGY_WORKLOAD,
+        {
+            **_FABRIC,
+            "--rate": _Flag("rate", "F", float),
+            "--arrivals": _Flag("arrivals", "poisson|periodic"),
+            "--duration": _Flag("duration_ns", "DUR", parse_duration_ns),
+            "--window": _Flag("window_ns", "DUR", parse_duration_ns),
+            "--ramp": _Flag("ramp_ns", "DUR", parse_duration_ns),
+            "--burst": _Flag(
+                "bursts", "FACTOR@START:END", BurstPhase.parse, repeat=True
+            ),
+            "--slo": _Flag("slos", "METRIC<=BOUND", repeat=True),
+            "--interval": _Flag("interval_ns", "NS", float),
+            "--sample": _Flag("sample", "N", int),
+            "--ledger": _Flag("ledger", "PATH"),
+            "--stream": _Flag("stream", "PATH"),
+            **_SEED,
+        },
         _main_serve,
     ),
     "spans": _Subcommand(
-        "spans <topology> <workload> [--target rmt|adcp|both] "
-        "[--sample N] [--ledger PATH] [--chrome PATH] [--seed N] [--json]",
+        ("<topology>", "<workload>"),
+        _TOPOLOGY_WORKLOAD,
+        {
+            "--target": _Flag("target", "rmt|adcp|both"),
+            "--sample": _Flag("sample", "N", int),
+            "--ledger": _Flag("ledger_out", "PATH"),
+            "--out": _Flag("ledger_out", "PATH"),  # alias, as trace --out
+            "--chrome": _Flag("chrome_out", "PATH"),
+            **_SEED,
+        },
         _main_spans,
     ),
     "stateful": _Subcommand(
-        "stateful <workload> [--target rmt|adcp|both] "
-        "[--topology single|<fabric>] [--flows N] [--skew F] "
-        "[--packets N] [--ledger PATH] [--seed N] [--json]",
+        ("<workload>",),
+        _ONE_WORKLOAD + " (tokenbucket, synflood, heavyhitter, keycache)",
+        {
+            "--target": _Flag("target", "rmt|adcp|both"),
+            "--topology": _Flag("topology", "single|<fabric>"),
+            "--flows": _Flag("flows", "N", int),
+            "--skew": _Flag("skew", "F", float),
+            "--packets": _Flag("packets", "N", int),
+            "--ledger": _Flag("ledger_out", "PATH"),
+            **_SEED,
+        },
         _main_stateful,
     ),
     "diff": _Subcommand(
-        "diff <base_ledger> <new_ledger> [--threshold PCT] [--json]",
+        ("<base_ledger>", "<new_ledger>"),
+        "takes exactly two ledger paths (base, new)",
+        {"--threshold": _Flag("threshold", "PCT", _percent)},
         _main_diff,
     ),
     "campaign": _Subcommand(
-        "campaign <spec.toml|spec.json|builtin> [--workers N] "
-        "[--resume] [--out DIR] [--axis name=v1,v2] [--timeout S] "
-        "[--retries N] [--cache-dir DIR] [--no-cache] [--json]",
+        ("<spec.toml|spec.json|builtin>",),
+        "takes exactly one spec (a builtin name or a .toml/.json path)",
+        {
+            "--workers": _Flag("workers", "N", int),
+            "--resume": _Flag("resume"),
+            "--out": _Flag("out_dir", "DIR"),
+            "--axis": _Flag(
+                "axes", "name=v1,v2", _parse_axis_override, repeat=True
+            ),
+            "--timeout": _Flag("timeout_s", "S", _timeout),
+            "--retries": _Flag("max_retries", "N", int),
+            "--cache-dir": _Flag("cache_dir", "DIR"),
+            "--no-cache": _Flag("use_cache", const=False),
+        },
         _main_campaign,
     ),
 }
 
 
+def _usage(name: str, sub: _Subcommand) -> str:
+    words = [name, *sub.positionals]
+    for text, flag in sub.flags.items():
+        if flag.metavar is None:
+            words.append(f"[{text}]")
+        else:
+            more = " ..." if flag.repeat else ""
+            words.append(f"[{text} {flag.metavar}{more}]")
+    return " ".join([*words, "[--json]"])
+
+
 def _usage_lines() -> list[str]:
+    from .campaign.spec import BUILTIN_CAMPAIGNS
+    from .fabric.workloads import FABRIC_WORKLOADS
     from .report import ARTIFACTS
+    from .stateful.workloads import (
+        FABRIC_STATEFUL_WORKLOADS,
+        STATEFUL_WORKLOADS,
+    )
     from .telemetry.runner import TRACEABLE
 
     lines = ["usage: python -m repro [--json] [artifact ...]"]
     lines.extend(
-        f"       python -m repro {sub.usage}"
-        for sub in _SUBCOMMANDS.values()
+        f"       python -m repro {_usage(name, sub)}"
+        for name, sub in _SUBCOMMANDS.items()
     )
     lines.append(
         f"artifacts: {', '.join(sorted(ARTIFACTS))} (default: all)"
@@ -736,13 +451,6 @@ def _usage_lines() -> list[str]:
     lines.append(
         f"trace/profile/monitor workloads: {', '.join(sorted(TRACEABLE))}"
     )
-    from .fabric.workloads import FABRIC_WORKLOADS
-
-    from .stateful.workloads import (
-        FABRIC_STATEFUL_WORKLOADS,
-        STATEFUL_WORKLOADS,
-    )
-
     lines.append(
         f"fabric/serve workloads: "
         f"{', '.join(FABRIC_WORKLOADS + FABRIC_STATEFUL_WORKLOADS)} on "
@@ -766,8 +474,6 @@ def _usage_lines() -> list[str]:
         "diff compares two run ledgers written by monitor; it exits 1 "
         "when any series regressed past the threshold (default 5%)"
     )
-    from .campaign.spec import BUILTIN_CAMPAIGNS
-
     lines.append(
         f"campaign builtins: {', '.join(sorted(BUILTIN_CAMPAIGNS))}; "
         f"exit codes: 0 ok, 1 cell failure/interrupt, 2 bad spec"
@@ -785,7 +491,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         if args and args[0] in _SUBCOMMANDS:
-            return _SUBCOMMANDS[args[0]].handler(args[1:], json_mode)
+            positional, options = _scan(args[0], args[1:])
+            return _SUBCOMMANDS[args[0]].handler(
+                positional, options, json_mode
+            )
         from .report import run_structured
 
         sections = run_structured(args or None)

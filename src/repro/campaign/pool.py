@@ -26,6 +26,7 @@ are module-level functions, so both work.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
 from dataclasses import dataclass, field
@@ -183,9 +184,9 @@ class WorkerPool:
     ) -> None:
         if workers < 1:
             raise ConfigError(f"pool needs >= 1 worker, got {workers}")
-        if timeout_s is not None and timeout_s <= 0:
+        if timeout_s is not None and not 0 < timeout_s < math.inf:
             raise ConfigError(
-                f"cell timeout must be positive, got {timeout_s}"
+                f"cell timeout must be positive and finite, got {timeout_s}"
             )
         if max_retries < 0:
             raise ConfigError(

@@ -255,6 +255,14 @@ def run_campaign(
             f"campaign {spec.name!r} names unknown cell target "
             f"{spec.target!r}; registered: {', '.join(sorted(TARGETS))}"
         )
+    # The pool validates workers, timeout and retries, so a bad value
+    # fails here, before the directory exists or the journal is reset.
+    pool = WorkerPool(
+        workers=workers,
+        timeout_s=timeout_s,
+        max_retries=max_retries,
+        backoff_s=backoff_s,
+    )
     cells = spec.expand()
     spec_digest = spec.digest()
     if serial is None:
@@ -403,12 +411,6 @@ def run_campaign(
         if serial:
             outcome: PoolOutcome = run_serial(jobs, on_done=on_done)
         else:
-            pool = WorkerPool(
-                workers=workers,
-                timeout_s=timeout_s,
-                max_retries=max_retries,
-                backoff_s=backoff_s,
-            )
             outcome = pool.run(jobs, on_done=on_done)
         interrupted = outcome.interrupted
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -196,6 +197,11 @@ class CampaignSpec:
             raise ConfigError(
                 f"campaign {self.name!r}: {where} value {value!r} must "
                 f"be a scalar (bool/int/float/str)"
+            )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(
+                f"campaign {self.name!r}: {where} value {value!r} must "
+                f"be finite"
             )
 
     # --- identity ---------------------------------------------------------------------

@@ -21,6 +21,7 @@ never visible to the data plane.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -147,8 +148,8 @@ def build_single(
         raise ConfigError(f"flows must be >= 1, got {flows}")
     if packets < 1:
         raise ConfigError(f"packets must be >= 1, got {packets}")
-    if skew <= 1.0:
-        raise ConfigError(f"zipf skew must be > 1.0, got {skew}")
+    if not 1.0 < skew < math.inf:  # also rejects NaN
+        raise ConfigError(f"zipf skew must be > 1.0 and finite, got {skew}")
     builder = {
         "tokenbucket": _single_tokenbucket,
         "synflood": _single_synflood,

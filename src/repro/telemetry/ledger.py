@@ -336,8 +336,10 @@ def diff_ledgers(
     ``threshold`` (peaks ride along in the report).  Diffing a ledger
     against itself yields all-unchanged and exit code 0 by construction.
     """
-    if threshold < 0:
-        raise ConfigError(f"threshold must be >= 0, got {threshold}")
+    if not 0 <= threshold < math.inf:  # also rejects NaN
+        raise ConfigError(
+            f"threshold must be >= 0 and finite, got {threshold}"
+        )
     diff = LedgerDiff(
         threshold=threshold,
         base_workload=base.get("workload", "?"),

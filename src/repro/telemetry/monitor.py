@@ -30,7 +30,7 @@ tree and collects them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, inf
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -115,9 +115,10 @@ class ResourceMonitor:
     """
 
     def __init__(self, interval_ns: float = DEFAULT_INTERVAL_NS) -> None:
-        if interval_ns <= 0:
+        if not 0 < interval_ns < inf:  # also rejects NaN
             raise ConfigError(
-                f"monitor interval must be positive, got {interval_ns}"
+                f"monitor interval must be positive and finite, "
+                f"got {interval_ns}"
             )
         self.interval_ns = float(interval_ns)
         self.interval_s = interval_ns / _NS_PER_S

@@ -120,42 +120,55 @@ def _make_telemetry() -> Telemetry:
 # packets leave per-hop spans without touching the trace path.
 
 
-def _trace_quickstart(make_telemetry=None, seed=None, spans=None) -> list[TraceSection]:
-    """The quickstart coflow on both architectures (examples/quickstart.py)."""
-    from ..adcp.config import ADCPConfig
-    from ..adcp.switch import ADCPSwitch
-    from ..apps import ParameterServerApp
-    from ..rmt.config import RMTConfig
-    from ..rmt.switch import RMTSwitch
+def _trace_paramserver(vector: int):
+    """Factory-of-factories for parameter aggregation on both targets.
 
-    workers = [0, 1, 4, 5]
-    sections = []
-    mk = make_telemetry or _make_telemetry
+    ``quickstart`` (examples/quickstart.py) aggregates 256 elements;
+    ``mltrain`` is Table 1's ML-training row, the exact 128-element pair
+    of ``benchmarks/test_table1_applications.py``.  The ADCP aggregates
+    16-element packets in its central bank while RMT is forced to scalar
+    packets plus egress-pinned state, which is where its CCT gap comes
+    from — run ``mltrain`` under ``profile`` to see the gap decomposed
+    into recirculation and TM queue-wait.
+    """
 
-    adcp_tel = mk()
-    adcp_config = ADCPConfig(
-        num_ports=8, port_speed_bps=100 * GBPS, demux_factor=2,
-        central_pipelines=4,
-    )
-    adcp_app = ParameterServerApp(workers, 256, elements_per_packet=16)
-    adcp = ADCPSwitch(adcp_config, adcp_app, telemetry=adcp_tel)
-    if spans is not None:
-        adcp.spans = spans
-    adcp_result = adcp.run(adcp_app.workload(adcp_config.port_speed_bps))
-    sections.append(TraceSection("adcp", adcp_tel, adcp_result))
+    def factory(make_telemetry=None, seed=None, spans=None) -> list[TraceSection]:
+        from ..adcp.config import ADCPConfig
+        from ..adcp.switch import ADCPSwitch
+        from ..apps import ParameterServerApp
+        from ..rmt.config import RMTConfig
+        from ..rmt.switch import RMTSwitch
 
-    rmt_tel = mk()
-    rmt_config = RMTConfig(
-        num_ports=8, pipelines=2, port_speed_bps=100 * GBPS,
-        min_wire_packet_bytes=84.0, frequency_hz=1.25e9,
-    )
-    rmt_app = ParameterServerApp(workers, 256, elements_per_packet=1)
-    rmt = RMTSwitch(rmt_config, rmt_app, telemetry=rmt_tel)
-    if spans is not None:
-        rmt.spans = spans
-    rmt_result = rmt.run(rmt_app.workload(rmt_config.port_speed_bps))
-    sections.append(TraceSection("rmt", rmt_tel, rmt_result))
-    return sections
+        workers = [0, 1, 4, 5]
+        sections = []
+        mk = make_telemetry or _make_telemetry
+
+        adcp_tel = mk()
+        adcp_config = ADCPConfig(
+            num_ports=8, port_speed_bps=100 * GBPS, demux_factor=2,
+            central_pipelines=4,
+        )
+        adcp_app = ParameterServerApp(workers, vector, elements_per_packet=16)
+        adcp = ADCPSwitch(adcp_config, adcp_app, telemetry=adcp_tel)
+        if spans is not None:
+            adcp.spans = spans
+        adcp_result = adcp.run(adcp_app.workload(adcp_config.port_speed_bps))
+        sections.append(TraceSection("adcp", adcp_tel, adcp_result))
+
+        rmt_tel = mk()
+        rmt_config = RMTConfig(
+            num_ports=8, pipelines=2, port_speed_bps=100 * GBPS,
+            min_wire_packet_bytes=84.0, frequency_hz=1.25e9,
+        )
+        rmt_app = ParameterServerApp(workers, vector, elements_per_packet=1)
+        rmt = RMTSwitch(rmt_config, rmt_app, telemetry=rmt_tel)
+        if spans is not None:
+            rmt.spans = spans
+        rmt_result = rmt.run(rmt_app.workload(rmt_config.port_speed_bps))
+        sections.append(TraceSection("rmt", rmt_tel, rmt_result))
+        return sections
+
+    return factory
 
 
 def _trace_recirculate(make_telemetry=None, seed=None, spans=None) -> list[TraceSection]:
@@ -214,51 +227,6 @@ def _trace_mergejoin(make_telemetry=None, seed=None, spans=None) -> list[TraceSe
         app.workload(config.port_speed_bps, relation(80, 40), relation(80, 40))
     )
     return [TraceSection("adcp-mergejoin", telemetry, result)]
-
-
-def _trace_mltrain(make_telemetry=None, seed=None, spans=None) -> list[TraceSection]:
-    """Table 1's ML-training row: parameter aggregation on both targets.
-
-    The exact benchmark pair (``benchmarks/test_table1_applications.py``):
-    the ADCP aggregates 16-element packets in its central bank while RMT
-    is forced to scalar packets plus egress-pinned state, which is where
-    its CCT gap comes from — run this under ``profile`` to see the gap
-    decomposed into recirculation and TM queue-wait.
-    """
-    from ..adcp.config import ADCPConfig
-    from ..adcp.switch import ADCPSwitch
-    from ..apps import ParameterServerApp
-    from ..rmt.config import RMTConfig
-    from ..rmt.switch import RMTSwitch
-
-    workers = [0, 1, 4, 5]
-    sections = []
-    mk = make_telemetry or _make_telemetry
-
-    adcp_tel = mk()
-    adcp_config = ADCPConfig(
-        num_ports=8, port_speed_bps=100 * GBPS, demux_factor=2,
-        central_pipelines=4,
-    )
-    adcp_app = ParameterServerApp(workers, 128, elements_per_packet=16)
-    adcp = ADCPSwitch(adcp_config, adcp_app, telemetry=adcp_tel)
-    if spans is not None:
-        adcp.spans = spans
-    adcp_result = adcp.run(adcp_app.workload(adcp_config.port_speed_bps))
-    sections.append(TraceSection("adcp", adcp_tel, adcp_result))
-
-    rmt_tel = mk()
-    rmt_config = RMTConfig(
-        num_ports=8, pipelines=2, port_speed_bps=100 * GBPS,
-        min_wire_packet_bytes=84.0, frequency_hz=1.25e9,
-    )
-    rmt_app = ParameterServerApp(workers, 128, elements_per_packet=1)
-    rmt = RMTSwitch(rmt_config, rmt_app, telemetry=rmt_tel)
-    if spans is not None:
-        rmt.spans = spans
-    rmt_result = rmt.run(rmt_app.workload(rmt_config.port_speed_bps))
-    sections.append(TraceSection("rmt", rmt_tel, rmt_result))
-    return sections
 
 
 def _trace_fabric(workload_name: str):
@@ -327,10 +295,10 @@ def _trace_stateful(workload: str):
 
 
 TRACEABLE = {
-    "quickstart": _trace_quickstart,
+    "quickstart": _trace_paramserver(256),
     "recirculate": _trace_recirculate,
     "mergejoin": _trace_mergejoin,
-    "mltrain": _trace_mltrain,
+    "mltrain": _trace_paramserver(128),
     "fabric-allreduce": _trace_fabric("fabric-allreduce"),
     "fabric-shuffle": _trace_fabric("fabric-shuffle"),
     "stateful-tokenbucket": _trace_stateful("tokenbucket"),
@@ -347,8 +315,8 @@ class ProfileSection:
     label: str
     telemetry: Telemetry
     result: object  # SwitchRunResult
-    profile: object  # repro.profiling.RunProfile
-    report: object  # repro.profiling.BottleneckReport
+    profile: object  # repro.telemetry.RunProfile
+    report: object  # repro.telemetry.BottleneckReport
 
 
 @dataclass

@@ -98,9 +98,15 @@ def test_cell_failure_exits_one(tmp_path, capsys):
         ["campaign", "design-space", "--axis", "nope"],  # malformed axis
         ["campaign", "design-space", "--axis", "missing=1"],  # unknown axis
         ["campaign", "design-space", "--frobnicate"],  # unknown option
+        ["campaign", "design-space", "--timeout", "nan"],  # not finite
+        ["campaign", "design-space", "--timeout", "inf"],
+        ["campaign", "design-space", "--retries", "-1"],  # below minimum
+        ["campaign", "stateful-sweep", "--axis", "skew=nan"],  # not finite
+        ["campaign", "stateful-sweep", "--axis", "skew=inf"],
     ],
 )
-def test_bad_invocations_exit_two(argv, capsys):
+def test_bad_invocations_exit_two(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a case that slipped through would write here
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
 

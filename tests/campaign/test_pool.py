@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.campaign.pool import Job, WorkerPool, run_serial
@@ -116,6 +118,12 @@ def test_pool_parameter_validation():
         WorkerPool(timeout_s=0)
     with pytest.raises(ConfigError):
         WorkerPool(max_retries=-1)
+
+
+@pytest.mark.parametrize("timeout_s", [math.nan, math.inf, -math.inf])
+def test_pool_rejects_non_finite_timeout(timeout_s):
+    with pytest.raises(ConfigError, match="finite"):
+        WorkerPool(timeout_s=timeout_s)
 
 
 def test_on_done_fires_once_per_job():

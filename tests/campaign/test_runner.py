@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -246,6 +247,23 @@ class TestJournal:
         assert events.count("cell_done") == 4
         assert events[-1] == "campaign_end"
         assert records[-1]["ok"] is True
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"workers": 0}, {"max_retries": -1}, {"timeout_s": math.nan}],
+        ids=["workers", "retries", "timeout"],
+    )
+    def test_rejected_arguments_write_nothing(self, tmp_path, bad):
+        """A call the pool refuses neither resets a finished campaign's
+        journal nor creates a new output directory."""
+        run = _run(_echo_spec(), tmp_path, "a")
+        before = run.journal_path.read_bytes()
+        with pytest.raises(ConfigError):
+            _run(_echo_spec(), tmp_path, "a", **bad)
+        assert run.journal_path.read_bytes() == before
+        with pytest.raises(ConfigError):
+            _run(_echo_spec(), tmp_path, "b", **bad)
+        assert not (tmp_path / "outb").exists()
 
     def test_journal_tolerates_a_torn_tail(self, tmp_path):
         run = _run(_echo_spec(), tmp_path, "a")

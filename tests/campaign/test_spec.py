@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -88,6 +89,36 @@ class TestValidation:
     def test_non_scalar_axis_value(self):
         with pytest.raises(ConfigError, match="scalar"):
             _grid(axes={"a": [[1, 2]]})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["axis", "fixed", "cell"])
+    def test_non_finite_value_rejected(self, where, value):
+        """Digests are canonical JSON, which has no NaN or infinity."""
+        with pytest.raises(ConfigError, match="must be finite"):
+            if where == "axis":
+                _grid(axes={"a": [1.0, value]})
+            elif where == "fixed":
+                _grid(fixed={"f": value})
+            else:
+                CampaignSpec(
+                    name="t", target="_echo", mode="list",
+                    cells=({"a": value},),
+                )
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("nan.json", '{"target": "_echo", "axes": {"a": [1, NaN]}}'),
+            ("inf.toml", 'target = "_echo"\n[fixed]\nf = inf\n'),
+        ],
+    )
+    def test_non_finite_value_in_spec_file_rejected(self, tmp_path, name, text):
+        if name.endswith(".toml"):
+            pytest.importorskip("tomllib")  # 3.11+
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="must be finite"):
+            load_spec(path)
 
     def test_duplicate_axis_values(self):
         with pytest.raises(ConfigError, match="duplicate values"):

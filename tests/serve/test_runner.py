@@ -254,6 +254,8 @@ class TestServeCLI:
             (["--burst", "nan@1us:2us"], "burst factor must be positive"),
             (["--window", "0.001ns", "--duration", "1us"],
              f"more than {MAX_WINDOWS} windows"),
+            (["--interval", "nan"], "interval must be positive and finite"),
+            (["--interval", "inf"], "interval must be positive and finite"),
         ],
     )
     def test_non_finite_and_runaway_inputs_exit_two(

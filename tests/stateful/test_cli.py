@@ -73,6 +73,16 @@ class TestStatefulCLI:
         assert main(["stateful", "synflood", "--flows", "many"]) == 2
         assert "--flows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("skew", ["nan", "inf", "1"])
+    def test_bad_skew_exits_two(self, skew, capsys):
+        """NaN used to fail inside numpy with exit 1, and inf to run and
+        print ``"skew": Infinity``."""
+        assert main(["--json", "stateful", "synflood", "--skew", skew]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "zipf skew must be > 1.0 and finite" in captured.err
+
     def test_missing_workload_exits_two(self, capsys):
         assert main(["stateful"]) == 2
         assert "exactly one workload" in capsys.readouterr().err

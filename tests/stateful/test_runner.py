@@ -10,12 +10,13 @@ run.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.stateful.runner import run_stateful
-from repro.stateful.workloads import STATEFUL_WORKLOADS
+from repro.stateful.workloads import STATEFUL_WORKLOADS, build_single
 
 _FAST = dict(flows=32, packets=160)
 
@@ -34,6 +35,11 @@ class TestValidation:
     def test_bad_target_rejected(self):
         with pytest.raises(ConfigError, match="target"):
             run_stateful("tokenbucket", target="fpga")
+
+    @pytest.mark.parametrize("skew", [1.0, math.nan, math.inf])
+    def test_skew_must_exceed_one_and_be_finite(self, skew):
+        with pytest.raises(ConfigError, match="zipf skew"):
+            build_single("tokenbucket", skew=skew, port_speed_bps=1e11)
 
 
 class TestSingleSwitchEndToEnd:

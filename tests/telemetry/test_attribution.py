@@ -22,16 +22,16 @@ from repro.adcp.config import ADCPConfig
 from repro.adcp.switch import ADCPSwitch
 from repro.apps import ParameterServerApp
 from repro.errors import SimulationError
-from repro.profiling import (
+from repro.telemetry import (
     AttributionTable,
     BUCKETS,
     LittlesLawCheck,
     RunProfile,
+    Telemetry,
     analyze_bottlenecks,
     attribution_gap,
     profile_run,
 )
-from repro.telemetry import Telemetry
 from repro.telemetry.runner import run_profile
 from repro.units import GBPS
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,15 @@ class TestVerdicts:
         ledger = _ledger({"x": (1.0, 1.0)})
         with pytest.raises(ConfigError):
             diff_ledgers(ledger, ledger, threshold=-0.1)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        """NaN and inf pass a ``< 0`` test and would call a tripled
+        series unchanged."""
+        base = _ledger({"x": (10.0, 10.0)})
+        new = _ledger({"x": (30.0, 30.0)})
+        with pytest.raises(ConfigError, match="finite"):
+            diff_ledgers(base, new, threshold=threshold)
 
     def test_default_threshold(self):
         assert DEFAULT_THRESHOLD == 0.05
@@ -264,6 +274,21 @@ class TestCLI:
                      "--threshold", "25"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "1e400"])
+    def test_diff_rejects_non_finite_threshold(
+        self, tmp_path, capsys, threshold
+    ):
+        """A NaN threshold used to call a tripled series unchanged."""
+        base = write_ledger(tmp_path / "base.json",
+                            _ledger({"x": (10.0, 10.0)}))
+        new = write_ledger(tmp_path / "new.json",
+                           _ledger({"x": (30.0, 30.0)}))
+        assert main(["diff", str(base), str(new),
+                     "--threshold", threshold]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threshold must be >= 0 and finite" in captured.err
+
     def test_diff_json_mode(self, tmp_path, capsys):
         base = write_ledger(tmp_path / "l.json", _ledger({"x": (1.0, 1.0)}))
         assert main(["--json", "diff", str(base), str(base)]) == 0
@@ -382,6 +407,54 @@ class TestBaselineByteIdentity:
         assert run.report is not None
         self._assert_byte_identical(
             tmp_path, "campaign_design_space.json", run.report
+        )
+
+    #: The CI smoke invocation behind each baseline, and the file it
+    #: writes (``{tmp}`` is the test's directory).
+    CLI_ROUTES = {
+        "ledger_mltrain.json": (
+            "out.json", ["monitor", "mltrain", "--ledger", "{tmp}/out.json"]
+        ),
+        "ledger_fabric_leafspine.json": (
+            "out.json",
+            ["fabric", "leaf-spine-2x2", "fabric-allreduce",
+             "--target", "adcp", "--ledger", "{tmp}/out.json"],
+        ),
+        "span_ledger_leafspine.json": (
+            "out.json",
+            ["spans", "leaf-spine-2x2", "fabric-allreduce",
+             "--sample", "8", "--ledger", "{tmp}/out.json"],
+        ),
+        "ledger_serve_leafspine.json": (
+            "out.json",
+            ["serve", "leaf-spine-2x2", "fabric-allreduce",
+             "--duration", "10us", "--window", "500ns",
+             "--slo", "drop_rate<=0.05", "--ledger", "{tmp}/out.json"],
+        ),
+        "campaign_design_space.json": (
+            "campaign/report.json",
+            ["campaign", "design-space", "--axis", "port_speed_gbps=100",
+             "--out", "{tmp}/campaign", "--cache-dir", "{tmp}/cache"],
+        ),
+        "stateful_ledger_tokenbucket.json": (
+            "out.json",
+            ["stateful", "tokenbucket", "--ledger", "{tmp}/out.json"],
+        ),
+        "stateful_ledger_synflood.json": (
+            "out.json", ["stateful", "synflood", "--ledger", "{tmp}/out.json"]
+        ),
+    }
+
+    @pytest.mark.parametrize("baseline_name", sorted(CLI_ROUTES))
+    def test_cli_route_matches_baseline(self, tmp_path, capsys, baseline_name):
+        """The same baselines through ``main()``: the CLI hands each
+        runner the values that the direct calls pass."""
+        written, argv = self.CLI_ROUTES[baseline_name]
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(["--json", *argv]) == 0
+        capsys.readouterr()
+        self._assert_byte_identical(
+            tmp_path, baseline_name, load_ledger(tmp_path / written)
         )
 
 

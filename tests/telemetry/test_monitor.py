@@ -62,6 +62,11 @@ class TestGridSampling:
         with pytest.raises(ConfigError):
             ResourceMonitor(interval_ns=0)
 
+    @pytest.mark.parametrize("interval_ns", [math.nan, math.inf])
+    def test_interval_must_be_finite(self, interval_ns):
+        with pytest.raises(ConfigError, match="finite"):
+            ResourceMonitor(interval_ns=interval_ns)
+
     def test_probe_registration_frozen_after_first_sample(self):
         monitor = ResourceMonitor()
         monitor.probe("a", lambda now_s: 1.0)

@@ -14,16 +14,16 @@ import pytest
 from repro.adcp.switch import ADCPSwitch
 from repro.apps import ParameterServerApp
 from repro.errors import SimulationError
-from repro.profiling import (
+from repro.rmt.config import RMTConfig, StateMode
+from repro.rmt.switch import RMTSwitch
+from repro.telemetry import (
     BUCKETS,
     QUEUE_BUCKETS,
     RunProfile,
+    Telemetry,
     profile_chrome_events,
     profile_run,
 )
-from repro.rmt.config import RMTConfig, StateMode
-from repro.rmt.switch import RMTSwitch
-from repro.telemetry import Telemetry
 from repro.units import GBPS
 
 WORKERS = [0, 1, 4, 5]
