@@ -228,9 +228,19 @@ def _main_serve(args: list[str], options: dict, json_mode: bool) -> int:
 
     ledger = options.pop("ledger", None)
     stream = options.pop("stream", None)
-    with (
-        open(stream, "w") if stream is not None else contextlib.nullcontext()
-    ) as stream_file:
+    with contextlib.ExitStack() as files:
+        stream_file = None
+
+        def write_stream(line: str) -> None:
+            # Opened with the first record: a run that ``run_serve``
+            # rejects leaves no file behind.
+            nonlocal stream_file
+            if stream is None:
+                return
+            if stream_file is None:
+                stream_file = files.enter_context(open(stream, "w"))
+            stream_file.write(line + "\n")
+            stream_file.flush()
 
         def emit_window(record: dict) -> None:
             if json_mode:
@@ -240,9 +250,7 @@ def _main_serve(args: list[str], options: dict, json_mode: bool) -> int:
                 )
             else:
                 print(_window_line(record), flush=True)
-            if stream_file is not None:
-                stream_file.write(json.dumps(record, sort_keys=True) + "\n")
-                stream_file.flush()
+            write_stream(json.dumps(record, sort_keys=True))
 
         run = run_serve(*args, on_window=emit_window, **options)
         # Sampled span hops join the same JSONL stream as the windows,
@@ -251,8 +259,7 @@ def _main_serve(args: list[str], options: dict, json_mode: bool) -> int:
             line = json.dumps({"type": "span", **record}, sort_keys=True)
             if json_mode:
                 print(line, flush=True)
-            if stream_file is not None:
-                stream_file.write(line + "\n")
+            write_stream(line)
     _write_ledger(ledger, run)
     if json_mode:
         print(json.dumps(run.summary(), sort_keys=True))

@@ -54,7 +54,7 @@ class ADCPSwitch(BaseSwitch):
         An OP_FLUSH packet finishes its flow and is absorbed.
 
         ``telemetry`` (a :class:`repro.telemetry.Telemetry`) is opt-in;
-        when omitted, instrumentation reduces to per-site None checks.
+        it records events and never changes the path a packet takes.
         """
         super().__init__(name, config, app, telemetry, sim)
         # Array support (section 3.2): a packet may carry up to one
@@ -242,73 +242,58 @@ class ADCPSwitch(BaseSwitch):
                     released=len(released),
                     depth=self._merge.pending(),
                 )
-        if self.trace is None and len(released) > 1:
-            self._to_tm1_burst(released, ready)
-            return
-        for ready_packet in released:
-            if self.trace is not None:
-                self._emit(
-                    Category.MERGE, "merge.release", ready, ready_packet
-                )
-            self._to_tm1(ready_packet, ready)
+        self._release_to_tm1(released, ready)
 
-    def _to_tm1(self, packet: Packet, ready: float) -> None:
+    def _admit_tm1(
+        self, packet: Packet, ready: float
+    ) -> tuple[int, float] | None:
+        """TM1 admission: ``(partition, deliver)``, or None once the
+        rejected packet is dropped."""
         admitted = self.tm1.admit(packet, ready)
         if admitted is None:
             self._drop(packet, ready)
-            return
-        partition, deliver = admitted
+            return None
         if self.spans is not None and packet.meta.span is not None:
             self.spans.record(
                 packet.meta.span, packet.packet_id, self.name,
-                "tm", ready, deliver,
+                "tm", ready, admitted[1],
             )
+        return admitted
+
+    def _to_tm1(self, packet: Packet, ready: float) -> None:
+        admitted = self._admit_tm1(packet, ready)
+        if admitted is None:
+            return
+        partition, deliver = admitted
 
         def event() -> None:
             self._central_service(packet, partition, deliver)
 
         self._sim.at(deliver, event)
 
-    def _to_tm1_burst(self, packets: list[Packet], ready: float) -> None:
-        """Admit a same-time burst into TM1 and serve it with one event.
+    def _release_to_tm1(self, released: list[Packet], ready: float) -> None:
+        """Admit the merge's releases to TM1, in order, and serve them
+        with one central event.
 
-        Only taken untraced: accounting (admission order, drop order,
-        central service order) is identical to per-packet
-        :meth:`_to_tm1` calls because the releases all share ``ready``
-        and the kernel would dispatch their equal-time events in
-        schedule order anyway.
+        The releases share ``ready`` and TM1's latency is constant, so
+        the admitted ones share a delivery time too; one event serves
+        them in release order, the order one event per packet would
+        dispatch them in.
         """
-        admitted, rejected = self.tm1.admit_burst(packets, ready)
-        for packet in rejected:
-            self._drop(packet, ready)
+        admitted = []
+        for packet in released:
+            if self.trace is not None:
+                self._emit(Category.MERGE, "merge.release", ready, packet)
+            outcome = self._admit_tm1(packet, ready)
+            if outcome is not None:
+                partition, deliver = outcome
+                admitted.append((packet, partition))
         if not admitted:
             return
-        spans = self.spans
-        if spans is not None:
-            for packet, _, when in admitted:
-                if packet.meta.span is not None:
-                    spans.record(
-                        packet.meta.span, packet.packet_id, self.name,
-                        "tm", ready, when,
-                    )
-        deliver = admitted[0][2]
-        for _, _, each in admitted:
-            if each != deliver:
-                # Unequal delivery times (not possible with a constant
-                # TM latency, but cheap to guard): fall back to one
-                # event per packet.
-                for packet, partition, when in admitted:
-                    self._sim.at(
-                        when,
-                        lambda p=packet, c=partition, w=when: (
-                            self._central_service(p, c, w)
-                        ),
-                    )
-                return
 
         def event() -> None:
             self._sim.events_coalesced += len(admitted) - 1
-            for packet, partition, _ in admitted:
+            for packet, partition in admitted:
                 self._central_service(packet, partition, deliver)
 
         self._sim.at(deliver, event)

@@ -90,10 +90,11 @@ class BaseSwitch(Component):
       ``packet.delivered`` trace fields;
     - optionally ``_steer``, a detour ahead of egress-TM admission.
 
-    ``telemetry`` (a :class:`repro.telemetry.Telemetry`) is opt-in: when
-    omitted every instrumentation site reduces to one None check, so an
-    untraced run behaves byte-identically to one built before telemetry
-    existed.
+    ``telemetry`` (a :class:`repro.telemetry.Telemetry`) is opt-in.
+    Every telemetry level runs the same admission, pipeline, TM and
+    dispatch code: a wired trace recorder only adds events along it
+    (docs/DESIGN.md rule 3), and without one each trace site costs one
+    None check.
     """
 
     def __init__(
@@ -190,12 +191,11 @@ class BaseSwitch(Component):
         if telemetry is None:
             return
         telemetry.bind(self)
-        # Sampled spans ride outside the trace path: the recorder is
-        # consulted per packet with one None check, so the switch keeps
-        # the ``trace is None`` fast paths (docs/SPANS.md).
+        # Sampled spans are consulted per packet with one None check
+        # (docs/SPANS.md).
         self.spans = getattr(telemetry, "spans", None)
-        # A recorder disabled at construction skips trace wiring
-        # entirely, so such a hub costs the same as passing none
+        # A recorder disabled at construction is never wired, so such a
+        # hub emits nothing and costs the same as passing none
         # (metrics/snapshots still work; re-enabling later has no effect
         # on this switch).
         if telemetry.trace.enabled:
@@ -203,7 +203,6 @@ class BaseSwitch(Component):
             self.trace = trace
             for part in traced:
                 part.trace = trace
-            self._sim.trace = trace
 
     def monitor_probes(self):
         """Switch-level resource-monitor series.
@@ -282,6 +281,12 @@ class BaseSwitch(Component):
         called once per switch instance; construct a fresh switch per
         experiment so state and stats start clean.
 
+        Admission is batched: one kernel event per distinct arrival
+        timestamp serves the whole burst in stream order.  Every arrival
+        carries the default event priority and the kernel breaks
+        (time, priority) ties in schedule order, so this dispatches
+        exactly as one :meth:`inject` per packet would.
+
         Admission and the drain share one
         :class:`~repro.sim.event.CollectorPause`.  A lazy
         ``timed_packets`` (``ParameterServerApp.workload``,
@@ -291,19 +296,8 @@ class BaseSwitch(Component):
         if self.spans is not None:
             timed_packets = self._sampled_stream(timed_packets)
         with CollectorPause():
-            if self.trace is None:
-                # Batched admission: one kernel event per distinct
-                # arrival timestamp, servicing the whole burst in stream
-                # order.  All injections carry the default event priority
-                # and the kernel breaks (time, priority) ties in schedule
-                # order, so this dispatches identically to one event per
-                # packet.  Traced runs keep per-packet events so span
-                # streams are unchanged.
-                for time, burst in batch_arrivals(timed_packets):
-                    self._sim.at(time, self._make_burst_event(burst, time))
-            else:
-                for time, packet in timed_packets:
-                    self.inject(packet, time)
+            for time, burst in batch_arrivals(timed_packets):
+                self._sim.at(time, self._make_burst_event(burst, time))
             self._sim.run(until=until)
         return self.finalize()
 
@@ -312,7 +306,9 @@ class BaseSwitch(Component):
 
         A fabric pre-loads host arrivals and feeds link handoffs through
         this; the shared simulator is drained once by the fabric runner,
-        after which each switch is :meth:`finalize`-d.
+        after which each switch is :meth:`finalize`-d.  One call per
+        arrival, then a drain, is the per-packet reference that batched
+        admission (:meth:`run`, :meth:`inject_burst`) must match.
         """
         self._sim.at(time, self._make_ingress_event(packet, time))
 
@@ -321,8 +317,7 @@ class BaseSwitch(Component):
 
         The burst is serviced in list order, which matches the dispatch
         order per-packet :meth:`inject` calls would produce (equal-time
-        events pop in push order).  Callers with tracing enabled should
-        keep per-packet injection so span streams are unchanged.
+        events pop in push order), trace events included.
         """
         self._sim.at(time, self._make_burst_event(list(packets), time))
 
@@ -419,22 +414,13 @@ class BaseSwitch(Component):
                         span, copy.packet_id, self.name, "tm", ready, deliver
                     )
             # All copies of one multicast admission share a deliver time
-            # (same ready, same TM latency), so one kernel event serves
-            # the burst in replication order: the dispatch order of the
-            # per-copy events it replaces.
-            if (
-                self.trace is None
-                and len(deliveries) > 1
-                and all(d[2] == deliveries[0][2] for d in deliveries)
-            ):
+            # (same ready, constant TM latency), so one kernel event
+            # serves them in replication order: the dispatch order of
+            # one event per copy.
+            if deliveries:
                 self._sim.at(
                     deliveries[0][2], self._make_egress_burst_event(deliveries)
                 )
-            else:
-                for copy, index, deliver in deliveries:
-                    self._sim.at(
-                        deliver, self._make_egress_event(copy, index, deliver)
-                    )
             return
         if meta.egress_port is None:
             self.counter("no_route_drops").add()

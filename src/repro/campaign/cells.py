@@ -69,32 +69,17 @@ _REQUIRED = object()
 def _monitored_telemetry():
     """A hub carrying only the resource monitor: cells skip event
     tracing (the aggregate compares series summaries, not timelines)."""
-    from ..telemetry import ResourceMonitor, Telemetry
+    from ..telemetry import Telemetry
     from ..telemetry.monitor import DEFAULT_INTERVAL_NS
 
-    telemetry = Telemetry(
-        monitor=ResourceMonitor(interval_ns=DEFAULT_INTERVAL_NS)
-    )
-    telemetry.trace.disable()
-    return telemetry
+    return Telemetry.at_level("counters", interval_ns=DEFAULT_INTERVAL_NS)
 
 
 def _section(label: str, telemetry, result) -> dict:
     """One ledger section from a monitored switch run."""
-    monitor = telemetry.monitor
-    return {
-        "label": label,
-        "duration_s": result.duration_s,
-        "delivered": len(result.delivered),
-        "consumed": result.consumed,
-        "recirculated": result.recirculated_packets,
-        "samples": len(monitor),
-        "series": {
-            name: summary.to_json()
-            for name, summary in monitor.summaries().items()
-        },
-        "counters": result.counters,
-    }
+    from ..fabric.runner import SwitchSection, switch_section_json
+
+    return switch_section_json(SwitchSection(label, telemetry, result))
 
 
 def _ledger(workload: str, params: dict, sections: list[dict]) -> dict:
@@ -294,19 +279,21 @@ def _cell_stateful(params: dict) -> dict:
             "topology": (str, "single"),
             "target": (str, "both"),
             "flows": (int, 64),
-            "skew": ((int, float), 1.2),
+            "skew": ((int, float), None),
             "packets": (int, 400),
             "seed": (int, _REQUIRED),
         },
     )
     from ..stateful.runner import run_stateful
 
+    skew = p["skew"]
     run = run_stateful(
         p["workload"],
         target=p["target"],
         topology=p["topology"],
         flows=p["flows"],
-        skew=float(p["skew"]),
+        # Unset, the runner picks (and records) the topology's skew.
+        skew=None if skew is None else float(skew),
         packets=p["packets"],
         seed=p["seed"],
     )

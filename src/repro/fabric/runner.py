@@ -378,11 +378,9 @@ def build_fabric(
     if make_telemetry is None:
 
         def make_telemetry():
-            from ..telemetry import ResourceMonitor, Telemetry
+            from ..telemetry import Telemetry
 
-            hub = Telemetry(monitor=ResourceMonitor(interval_ns=interval_ns))
-            hub.trace.disable()
-            return hub
+            return Telemetry.at_level("counters", interval_ns=interval_ns)
 
     if sim is None:
         sim = Simulator()
@@ -471,10 +469,9 @@ def inject_arrivals(
     the coalescing opportunity (several hosts transmitting on the same
     tick into the same edge switch) only exists *across* streams — and
     consecutive same-``(arrival, switch)`` runs are injected as one
-    burst event when the switch runs untraced.  The merge sort is
-    stable, so equal-time entries keep host order: dispatch (and
-    therefore every downstream event) is identical to the per-packet
-    injection a traced switch still gets.
+    burst event.  The merge sort is stable, so equal-time entries keep
+    host order: dispatch (and therefore every downstream event, traced
+    or not) is identical to one ``inject`` per packet.
 
     ``stamp_origin`` records the host-departure time in
     ``meta.origin_time`` for end-to-end latency accounting (serve mode).
@@ -515,9 +512,8 @@ def inject_arrivals(
             and entries[end][1] is switch
         ):
             end += 1
-        if switch.trace is not None or end - start == 1:
-            for _, _, packet in entries[start:end]:
-                switch.inject(packet, arrival)
+        if end - start == 1:
+            switch.inject(entries[start][2], arrival)
         else:
             switch.inject_burst(
                 [entry[2] for entry in entries[start:end]], arrival

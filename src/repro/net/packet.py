@@ -32,7 +32,7 @@ def consume_packet_id() -> int:
     Fast paths that skip constructing a transient :class:`Packet` (e.g.
     the deparser bypass in ``Pipeline.service``) call this so the id
     stream — and therefore every downstream packet's id — is identical
-    to the instrumented path's.
+    to that of a run that rebuilds the packet.
     """
     return next(_packet_ids)
 

@@ -21,7 +21,7 @@ from ..errors import ConfigError, SimulationError
 from ..net.deparser import Deparser
 from ..net.packet import Packet, consume_packet_id
 from ..net.parser import ParseGraph, Parser
-from ..net.phv import PHV, PHVLayout
+from ..net.phv import PHVLayout
 from ..sim.component import Component
 from ..tables.mat import MatchTable
 from ..tables.memory import StageMemory
@@ -222,6 +222,13 @@ class Pipeline(Component):
         is parsed, the hook runs, and modified fields are deparsed back.
         Timing-wise the packet occupies the server for exactly one cycle.
 
+        The verdict and the parser's accounting come from
+        :meth:`~repro.net.parser.Parser.accepts`, and the hook gets a
+        :meth:`~repro.net.parser.Parser.lazy_phv` that only fills its
+        containers if touched.  Without a hook nothing can read or write
+        a PHV, so none is built.  A wired trace recorder records the
+        service and changes nothing else.
+
         ``enforce_width`` is set by the switch when the hook performs
         *stateful* per-element processing: a scalar pipeline physically
         cannot feed k elements of one packet through a stateful register in
@@ -236,58 +243,7 @@ class Pipeline(Component):
         self._busy_s += cycle_s
         exit_time = start + self._latency_s
 
-        if hook is None and self.trace is None:
-            # Pure-forwarding fast path: no hook can read or write the
-            # PHV and no span is recorded, so the accept/reject walk is
-            # all that is observable — skip parse/deparse entirely.
-            # Counters, width enforcement, and the queueing-delay
-            # histogram update in the same order as the full path.
-            accepted = self.parser.accepts(packet)
-            counters = self._svc_counters
-            if counters is None:
-                counters = self._svc_counters = (
-                    self.counter("packets"),
-                    self.counter("elements"),
-                )
-            counters[0].add()
-            counters[1].add(packet.element_count)
-            if not accepted:
-                self.counter("parse_rejects").add()
-                return ServiceRecord(
-                    ready_time, start, exit_time, Decision.drop("parse_reject")
-                )
-            if enforce_width and packet.element_count > self.array_width:
-                raise SimulationError(
-                    f"{self.path}: packet with {packet.element_count} "
-                    f"elements reached a stateful hook on a width-"
-                    f"{self.array_width} pipeline; the workload must be "
-                    f"restructured to scalar packets on this target"
-                )
-            # The full path's deparse builds a transient Packet, which
-            # draws one global packet id; draw it here too so id
-            # assignment is identical with and without instrumentation.
-            consume_packet_id()
-            self.deparser.packets_deparsed += 1
-            record = ServiceRecord(
-                ready_time, start, exit_time, _FORWARD_DECISION
-            )
-            hist = self._delay_hist
-            if hist is None:
-                hist = self._delay_hist = self.histogram("queueing_delay_s")
-            hist.observe(start - ready_time)
-            return record
-
-        if self.trace is None:
-            # Untraced hook path: take the verdict (and the parser's
-            # accounting) from the walk, and hand the hook a PHV that
-            # only materializes its containers if touched.  Hooks that
-            # work off the packet alone never pay for allocation.
-            accepted = self.parser.accepts(packet)
-            phv = self.parser.lazy_phv(packet)
-        else:
-            result = self.parser.parse(packet)
-            accepted = result.accepted
-            phv = result.phv
+        accepted = self.parser.accepts(packet)
         counters = self._svc_counters
         if counters is None:
             counters = self._svc_counters = (
@@ -313,34 +269,38 @@ class Pipeline(Component):
             )
 
         if hook is None:
+            # Pure forwarding leaves the packet as parsed: count the
+            # deparse and draw the id its rebuild would, as a hook that
+            # left its PHV clean does below.
             decision = _FORWARD_DECISION
+            consume_packet_id()
+            self.deparser.packets_deparsed += 1
         else:
+            phv = self.parser.lazy_phv(packet)
             self.context.now = start
             decision = hook(self.context, packet, phv)
             decision.validate()
-
-        if phv._dirty:
-            deparsed = self.deparser.deparse(phv, packet)
-            # Propagate in-place so the caller's reference stays valid.
-            packet.headers = deparsed.headers
-            packet.payload = deparsed.payload
-        else:
-            # Every hook-facing PHV mutator sets ``_dirty``; a clean PHV
-            # deparses to a packet equal to the original, so skip the
-            # rebuild while keeping the id draw and the deparse count
-            # identical to the rebuilt path.
-            consume_packet_id()
-            self.deparser.packets_deparsed += 1
-
-        if phv.get_meta("drop"):
-            decision = Decision.drop(str(phv.get_meta("drop_reason")))
-        if decision.verdict is Verdict.DROP:
-            self.counter("drops").add()
+            if phv._dirty:
+                deparsed = self.deparser.deparse(phv, packet)
+                # Propagate in-place so the caller's reference stays valid.
+                packet.headers = deparsed.headers
+                packet.payload = deparsed.payload
+            else:
+                # Every hook-facing PHV mutator sets ``_dirty``; a clean
+                # PHV deparses to a packet equal to the original, so skip
+                # the rebuild while keeping the id draw and the deparse
+                # count identical to the rebuilt path.
+                consume_packet_id()
+                self.deparser.packets_deparsed += 1
+            if phv.get_meta("drop"):
+                decision = Decision.drop(str(phv.get_meta("drop_reason")))
+            if decision.verdict is Verdict.DROP:
+                self.counter("drops").add()
         record = ServiceRecord(ready_time, start, exit_time, decision)
         hist = self._delay_hist
         if hist is None:
             hist = self._delay_hist = self.histogram("queueing_delay_s")
-        hist.observe(record.queueing_delay)
+        hist.observe(start - ready_time)
         if self.trace is not None:
             self._trace_service(packet, record)
         return record

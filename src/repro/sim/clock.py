@@ -85,31 +85,13 @@ class ClockDomain:
     def __init__(self, clock: Clock) -> None:
         self.clock = clock
         self.cycle = 0
-        self.trace = None
-        """Optional :class:`~repro.telemetry.recorder.TraceRecorder`; when
-        set, advances are recorded under the verbose ``CLOCK`` category."""
 
     def advance(self, cycles: int = 1) -> int:
         """Advance the domain by ``cycles`` and return the new cycle index."""
         if cycles < 0:
             raise ConfigError(f"cannot advance a clock domain by {cycles}")
         self.cycle += cycles
-        if self.trace is not None:
-            self._trace_advance(cycles)
         return self.cycle
-
-    def _trace_advance(self, cycles: int) -> None:
-        from ..telemetry.events import Category, Severity
-
-        self.trace.emit(
-            Category.CLOCK,
-            "clock.advance",
-            self.now_s,
-            component=f"clock.{self.clock.name}",
-            severity=Severity.DEBUG,
-            cycles=cycles,
-            cycle=self.cycle,
-        )
 
     @property
     def now_s(self) -> float:

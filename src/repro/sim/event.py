@@ -154,12 +154,6 @@ class Simulator:
         logical event count — what ``events_dispatched`` would read if
         every same-timestamp burst were scheduled packet-by-packet —
         and is the unit throughput benchmarks report as events/s."""
-        self.trace = None
-        """Optional :class:`~repro.telemetry.recorder.TraceRecorder`.
-
-        When set, each dispatched event is recorded under the verbose
-        ``SIM`` category (opt-in; filtered out by default recorders).
-        """
         self.time_probe: Callable[[float], None] | None = None
         """Optional callback fired whenever simulated time is about to
         advance, with the new time.  Used by telemetry's periodic metric
@@ -172,11 +166,10 @@ class Simulator:
     @property
     def logical_events(self) -> int:
         """Dispatched plus coalesced events: the batching-independent
-        work count.  Two runs of one workload agree on this number
-        whether admission was batched (``counters``/``sampled``
-        telemetry, ``trace is None``) or per-packet (``full``), which is
-        what makes telemetry-level overhead comparisons in events/s
-        meaningful."""
+        work count.  A run agrees on this number whether its arrivals
+        were admitted in bursts (``BaseSwitch.run``) or one
+        ``BaseSwitch.inject`` per packet, so events/s compares runs that
+        batch differently."""
         return self.events_dispatched + self.events_coalesced
 
     def add_time_probe(self, probe: Callable[[float], None]) -> None:
@@ -184,13 +177,13 @@ class Simulator:
 
         The dispatch loop keeps its single ``time_probe is None`` check —
         attaching several observers (metric snapshots plus a resource
-        monitor) costs the uninstrumented fast path nothing.  Probes fire
+        monitor) costs the fast path nothing.  Probes fire
         in installation order with the same new-time argument.
 
         Probes registered here are also tracked individually so the
         dispatcher can consult their ``next_deadline_s()`` (when every
-        probe offers one) and keep dispatching on the uninstrumented
-        fast path between deadlines — see :meth:`_probe_deadline`.
+        probe offers one) and keep dispatching on the fast path between
+        deadlines — see :meth:`_probe_deadline`.
         """
         current = self.time_probe
         if current is None:
@@ -269,11 +262,10 @@ class Simulator:
         ones stay queued and ``now`` advances to ``until``.
 
         Dispatch takes one of two loops with identical semantics: the
-        uninstrumented one (no trace, no ``max_events``, and every time
-        probe publishing a ``next_deadline_s()``) does no per-event
-        feature branching and fires probes only at their deadlines; the
-        instrumented reference loop honours everything — see
-        docs/KERNEL.md for the fast-path discipline.
+        fast one (no ``max_events``, and every time probe publishing a
+        ``next_deadline_s()``) does no per-event feature branching and
+        fires probes only at their deadlines; the reference loop honours
+        everything — see docs/KERNEL.md for the fast-path discipline.
 
         The drain runs inside a :class:`CollectorPause`: event actions
         create no reference cycles, so the collector would only
@@ -287,7 +279,7 @@ class Simulator:
                 f"run(until={until}) would move the clock back from {self.now}"
             )
         with CollectorPause():
-            if self.trace is None and max_events is None:
+            if max_events is None:
                 if self.time_probe is None:
                     return self._run_fast(until, _INF)
                 deadline = self._probe_deadline()
@@ -296,7 +288,7 @@ class Simulator:
             return self._run_instrumented(until, max_events)
 
     def _run_fast(self, until: float | None, deadline: float) -> int:
-        """Uninstrumented dispatch with deadline-aware time probes.
+        """Fast dispatch with deadline-aware time probes.
 
         Events strictly before ``deadline`` — the earliest probe
         deadline, or ``inf`` without probes — dispatch with one pop and
@@ -360,7 +352,7 @@ class Simulator:
         until: float | None,
         max_events: int | None,
     ) -> int:
-        """Reference dispatch loop: trace/probe/max_events all honoured."""
+        """Reference dispatch loop: every probe call and ``max_events``."""
         queue = self.queue
         dispatched = 0
         while True:
@@ -374,7 +366,7 @@ class Simulator:
                     self.time_probe(until)
                 self.now = until
                 break
-            time, priority, sequence, action = queue.pop()
+            time, _, _, action = queue.pop()
             if time < self.now:
                 raise SimulationError(
                     f"event time {time} precedes current time {self.now}"
@@ -384,25 +376,8 @@ class Simulator:
             self.now = time
             action()
             dispatched += 1
-            if self.trace is not None:
-                self._trace_dispatch(time, priority, sequence)
         self.events_dispatched += dispatched
         return dispatched
-
-    def _trace_dispatch(
-        self, time: float, priority: int, sequence: int
-    ) -> None:
-        from ..telemetry.events import Category, Severity
-
-        self.trace.emit(
-            Category.SIM,
-            "sim.dispatch",
-            time,
-            component="sim.kernel",
-            severity=Severity.DEBUG,
-            sequence=sequence,
-            priority=priority,
-        )
 
     def step(self) -> bool:
         """Dispatch exactly one event; return False if the queue was empty."""

@@ -37,7 +37,13 @@ from ..telemetry.ledger import (
 from ..units import GBPS
 from .apps import SYN_FLOOD_EFSM
 from .efsm import efsm_program
-from .workloads import STATEFUL_WORKLOADS, build_single
+from .workloads import (
+    DEFAULT_SKEW,
+    FABRIC_SKEW,
+    FABRIC_ZIPF_WORKLOADS,
+    STATEFUL_WORKLOADS,
+    build_single,
+)
 
 __all__ = [
     "StatefulRun",
@@ -215,7 +221,7 @@ def single_trace_sections(
             workload,
             target,
             flows=64,
-            skew=1.2,
+            skew=DEFAULT_SKEW,
             packets=240,
             seed=seed,
             make_telemetry=make_telemetry,
@@ -460,7 +466,7 @@ def run_stateful(
     target: str = "both",
     topology: str = "single",
     flows: int = 64,
-    skew: float = 1.2,
+    skew: float | None = None,
     packets: int = 400,
     seed: int | None = None,
     coflows: int = 2,
@@ -474,6 +480,12 @@ def run_stateful(
     topology (e.g. ``leaf-spine-2x2``) and runs the ``stateful-*``
     fabric workload through :func:`repro.fabric.runner.run_fabric`, with
     per-switch app instances harvested for the same series.
+
+    ``skew`` is the zipf exponent of the single-switch draws
+    (:data:`~repro.stateful.workloads.DEFAULT_SKEW` when None).  A fabric
+    workload refuses an explicit ``skew``: its run records the fixed
+    :data:`~repro.stateful.workloads.FABRIC_SKEW` it draws keys with, or
+    None when it draws no zipf keys.
     """
     if workload not in STATEFUL_WORKLOADS:
         raise ConfigError(
@@ -484,6 +496,16 @@ def run_stateful(
         raise ConfigError(
             f"target must be rmt, adcp, or both, got {target!r}"
         )
+    if topology == "single":
+        skew = DEFAULT_SKEW if skew is None else skew
+    elif skew is not None:
+        raise ConfigError(
+            f"skew applies to topology 'single' only; fabric stateful "
+            f"workloads draw with the fixed zipf skew {FABRIC_SKEW} "
+            f"(got {skew})"
+        )
+    else:
+        skew = FABRIC_SKEW if workload in FABRIC_ZIPF_WORKLOADS else None
     seed = DEFAULT_SEED if seed is None else seed
     targets = ("adcp", "rmt") if target == "both" else (target,)
     params = {

@@ -104,6 +104,19 @@ class SingleStream:
         yield from self._make(port_speed_bps)
 
 
+#: Zipf exponent of :func:`build_single`'s key and flow draws unless a
+#: run sets one.
+DEFAULT_SKEW = 1.2
+
+#: Zipf exponent of the key draws of the ``stateful-*`` fabric
+#: workloads in :data:`FABRIC_ZIPF_WORKLOADS`.  It is fixed: a fabric
+#: run records it and takes no other value.
+FABRIC_SKEW = 1.3
+
+#: The fabric workloads that draw zipf keys; the others draw none.
+FABRIC_ZIPF_WORKLOADS = ("heavyhitter", "keycache")
+
+
 def _zipf_key(rng, skew: float, space: int) -> int:
     return (int(rng.zipf(skew)) - 1) % space
 
@@ -132,7 +145,7 @@ def build_single(
     workload: str,
     *,
     flows: int = 64,
-    skew: float = 1.2,
+    skew: float = DEFAULT_SKEW,
     packets: int = 400,
     seed: int = 0,
     elements_per_packet: int = 1,
@@ -408,7 +421,6 @@ def build_stateful_workload(
         raise ConfigError("stateful fabric workloads need >= 2 hosts")
     server = hosts[-1]
     clients = hosts[:-1]
-    skew = 1.3
     key_space = max(16, len(clients) * 4)
     specs = []
     per_host: dict[int, list[Packet]] = {}
@@ -454,14 +466,14 @@ def build_stateful_workload(
                     elements=[(client, 0)], opcode=opcode,
                 )
             elif short == "heavyhitter":
-                key = _zipf_key(rng, skew, key_space)
+                key = _zipf_key(rng, FABRIC_SKEW, key_space)
                 counts[key] = counts.get(key, 0) + 1
                 packet = make_coflow_packet(
                     coflow_id, flow_id=client, seq=seq,
                     elements=[(key, 1)],
                 )
             else:  # keycache
-                key = _zipf_key(rng, skew, key_space)
+                key = _zipf_key(rng, FABRIC_SKEW, key_space)
                 put = seq % 8 == 0
                 packet = make_coflow_packet(
                     coflow_id, flow_id=client, seq=seq,

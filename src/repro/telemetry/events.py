@@ -42,12 +42,6 @@ class Category(Enum):
     PORT = "port"
     """TX-port serialization."""
 
-    SIM = "sim"
-    """Event-kernel dispatch (verbose; DEBUG severity)."""
-
-    CLOCK = "clock"
-    """Clock-domain advances (verbose; DEBUG severity)."""
-
 
 class Severity(IntEnum):
     """How notable an event is; recorders drop below their threshold."""
@@ -58,9 +52,9 @@ class Severity(IntEnum):
     ERROR = 40
 
 
-#: Categories that are too chatty for default recording: per-stage,
-#: per-kernel-event, and per-clock-tick detail.  Opt in explicitly.
-VERBOSE_CATEGORIES = frozenset({Category.STAGE, Category.SIM, Category.CLOCK})
+#: Categories that are too chatty for default recording: per-stage
+#: detail.  Opt in explicitly.
+VERBOSE_CATEGORIES = frozenset({Category.STAGE})
 
 #: The default recording set: everything except the verbose categories.
 DEFAULT_CATEGORIES = frozenset(set(Category) - VERBOSE_CATEGORIES)

@@ -1,27 +1,27 @@
 """Telemetry levels and deterministic head-based packet sampling.
 
-PR 7's kernel speedups (``_run_fast`` dispatch, batched same-timestamp
-admission, lazy PHVs) are all gated on ``switch.trace is None`` — the
-fully-instrumented trace path is the *only* thing that forfeits them.
-:class:`TelemetryLevel` names the useful points in between so callers can
-ask for exactly the observability they need:
+Every level runs the same code: batched same-timestamp admission,
+lazy PHVs and ``_run_fast`` dispatch are live at all four, and a level
+only decides what is recorded along the way (docs/DESIGN.md rule 3).
+:class:`TelemetryLevel` names the useful points so callers can ask for
+exactly the observability they need:
 
 ``off``
-    Nothing but the terminal counters every run keeps.  Fast path live.
+    Nothing but the terminal counters every run keeps.
 ``counters``
     ``off`` plus the clock-driven :class:`~repro.telemetry.monitor.
     ResourceMonitor` (deadline-aware probe, so dispatch stays on
-    ``_run_fast``).  Fast path live.
+    ``_run_fast``).
 ``sampled``
     ``counters`` plus head-based span sampling: a deterministic 1-in-N
     subset of injected packets carries a span id in ``PacketMetadata``
     and emits per-hop :class:`~repro.telemetry.spans.SpanRecord`\\ s.
     The per-packet check is one ``is None`` test plus, on the sampled
-    subset only, a handful of appends — ``switch.trace`` stays ``None``,
-    so batching and fast dispatch survive.  Fast path live.
+    subset only, a handful of appends.
 ``full``
-    The PR 1 instrumented path: every event traced through the ring
-    buffer.  Fast path forfeited (reference semantics).
+    Every event recorded through the trace ring buffer.  Recording is
+    the whole cost: the run takes the same path as at ``off``
+    (docs/TELEMETRY.md gives the measured overhead).
 
 The sampling decision is *head-based* and content-free: it is made once,
 at injection, from the packet id alone — ``stable_hash64("span/<seed>/
@@ -63,10 +63,9 @@ class TelemetryLevel(enum.Enum):
             )
 
     @property
-    def preserves_fast_path(self) -> bool:
-        """Whether this level keeps ``trace is None`` — and with it
-        ``_run_fast`` dispatch and batched admission — live."""
-        return self is not TelemetryLevel.FULL
+    def wants_trace(self) -> bool:
+        """Whether this level wires the trace recorder into the switch."""
+        return self is TelemetryLevel.FULL
 
     @property
     def wants_monitor(self) -> bool:

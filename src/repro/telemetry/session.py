@@ -18,10 +18,11 @@ switch's components and installs the snapshot sampler on that switch's
 event kernel.  Build one hub per switch when tracing several.
 
 Disabling the recorder (``telemetry.trace.disable()``) *before* building
-the switch skips trace wiring entirely — the switch runs on the same
-``trace is None`` fast path as one built with no hub, while metric
-snapshots keep working.  Toggling the recorder after construction only
-affects a switch that was built with tracing enabled.
+the switch skips trace wiring entirely — the switch emits nothing, as one
+built with no hub, while metric snapshots keep working.  Toggling the
+recorder after construction only affects a switch that was built with
+tracing enabled.  Wired or not, the recorder never changes which code a
+run takes (docs/DESIGN.md rule 3).
 """
 
 from __future__ import annotations
@@ -93,12 +94,13 @@ class Telemetry:
         """Build a hub for one rung of the telemetry-level ladder.
 
         ``off``/``counters``/``sampled`` disable the trace recorder
-        *before* switch construction, so the switch keeps the
-        ``trace is None`` fast path (docs/KERNEL.md); ``counters`` and
-        ``sampled`` add a :class:`ResourceMonitor` (deadline-aware, so
-        dispatch stays on ``_run_fast``), and ``sampled`` adds a
+        *before* switch construction, so the switch records no trace
+        events; ``counters`` and ``sampled`` add a
+        :class:`ResourceMonitor` (deadline-aware, so dispatch stays on
+        ``_run_fast``), and ``sampled`` adds a
         :class:`~repro.telemetry.spans.SpanRecorder` sampling 1 in
-        ``sample`` packets.  ``full`` is the PR 1 instrumented path.
+        ``sample`` packets.  ``full`` records every trace event.  All
+        four run the same admission, pipeline and dispatch code.
         """
         from .spans import SpanRecorder
 
@@ -114,7 +116,7 @@ class Telemetry:
         if level.wants_spans:
             spans = SpanRecorder(SpanSampler(seed=seed, sample=sample))
         hub = cls(capacity=capacity, monitor=monitor, spans=spans)
-        if level.preserves_fast_path:
+        if not level.wants_trace:
             hub.trace.disable()
         return hub
 

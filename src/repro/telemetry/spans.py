@@ -19,8 +19,8 @@ cross-check lives in ``tests/telemetry/test_spans.py``.  ``link`` is
 span-only: the profiler sees one switch at a time, spans see the fabric.
 
 The recorder costs nothing on unsampled packets beyond the ``is None``
-test each hook already performs, so ``sampled`` telemetry keeps
-``switch.trace is None`` — and with it every PR 7 fast path — intact.
+test each hook already performs.  Like every telemetry level, spans
+only record: they never change the path a packet takes.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ class SpanRecorder:
         """Record the three hops of one pipeline service.
 
         Boundaries come verbatim from the pipeline's
-        :class:`~repro.rmt.pipeline.ServiceRecord` (identical on the
-        fast and instrumented paths), so span totals tile the service
+        :class:`~repro.rmt.pipeline.ServiceRecord` (the floats a traced
+        ``pipeline.service`` event carries), so span totals tile the service
         window exactly the way the PR 3 profiler does.  ``queue_hop``
         labels the pre-service wait: ``ingress_queue`` for ingress-region
         passes, ``tm`` for egress-region passes (the wait for an egress

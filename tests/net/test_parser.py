@@ -3,9 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, ParseError
-from repro.net.headers import ETHERNET, IPV4, standard_stack
+from repro.net.headers import (
+    COFLOW_UDP_PORT,
+    ETHERNET,
+    ETHERTYPE_IPV4,
+    IP_PROTO_UDP,
+    IPV4,
+    standard_stack,
+)
 from repro.net.packet import Packet
 from repro.net.parser import ParseGraph, Parser, ParseState
 from repro.net.traffic import make_coflow_packet
@@ -110,3 +119,76 @@ class TestParser:
         parser = Parser(ParseGraph.standard_coflow_graph())
         parser.parse(make_coflow_packet(1, 1, 0, [(1, 1)]))
         assert parser.packets_parsed == 1
+
+
+@st.composite
+def _parser_cases(draw):
+    """A parse-graph array width, array capability, and a recipe for a
+    packet the parser may accept, reject, or raise on: next-protocol
+    fields that do or do not lead on, a header left out, and arrays
+    within and beyond the width."""
+    # Choices are weighted towards the full coflow stack, so that the
+    # array state, and with it the width check, is reached often.
+    width = draw(st.integers(1, 6))
+    array_capable = draw(st.sampled_from([True, True, False]))
+    ethertype = draw(st.sampled_from([ETHERTYPE_IPV4] * 3 + [0x86DD]))
+    protocol = draw(st.sampled_from([IP_PROTO_UDP] * 3 + [6]))
+    dst_port = draw(st.sampled_from([COFLOW_UDP_PORT] * 3 + [80]))
+    missing = draw(st.sampled_from([None] * 4 + [0, 1, 2, 3]))
+    elements = draw(st.integers(0, 2 * width))
+
+    def make_packet():
+        packet = make_coflow_packet(
+            3, 1, 0, [(k, 10 * k) for k in range(elements)]
+        )
+        eth, ip, udp, _ = packet.headers
+        eth["ethertype"] = ethertype
+        ip["protocol"] = protocol
+        udp["dst_port"] = dst_port
+        if missing is not None:
+            headers = packet.headers
+            packet.headers = headers[:missing] + headers[missing + 1:]
+        return packet
+
+    return width, array_capable, make_packet
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ParseError as error:
+        return ParseError, str(error)
+
+
+class TestAcceptsMatchesParse:
+    """``accepts`` + ``lazy_phv`` is the only parse the pipeline runs;
+    ``parse`` is its reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_parser_cases())
+    def test_verdict_counts_errors_and_fields_agree(self, case):
+        width, array_capable, make_packet = case
+        graph = ParseGraph.standard_coflow_graph(max_elements=width)
+        walker = Parser(graph, array_capable=array_capable)
+        reference = Parser(graph, array_capable=array_capable)
+        packet = make_packet()
+        verdict = _outcome(lambda: walker.accepts(packet))
+        parsed = _outcome(lambda: reference.parse(make_packet()))
+        counts = (walker.packets_parsed, walker.packets_rejected)
+        assert counts == (reference.packets_parsed, reference.packets_rejected)
+        if isinstance(parsed, tuple):
+            assert verdict == parsed
+            return
+        assert verdict == parsed.accepted
+        lazy = walker.lazy_phv(packet)
+        assert dict(lazy.fields()) == dict(parsed.phv.fields())
+        assert lazy.used_bits == parsed.phv.used_bits
+        # Filling the lazy PHV takes no second count.
+        assert (walker.packets_parsed, walker.packets_rejected) == counts
+        # A memoized verdict counts like a fresh walk.
+        again = reference.parse(make_packet())
+        assert walker.accepts(packet) == again.accepted
+        assert (walker.packets_parsed, walker.packets_rejected) == (
+            reference.packets_parsed,
+            reference.packets_rejected,
+        )

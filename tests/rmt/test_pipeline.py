@@ -6,6 +6,8 @@ import pytest
 
 from repro.arch.decision import Decision, Verdict
 from repro.errors import ConfigError, SimulationError
+from repro.net.headers import ETHERNET
+from repro.net.packet import Packet, consume_packet_id
 from repro.net.traffic import make_coflow_packet
 from repro.rmt.pipeline import Pipeline
 from repro.sim.component import Component
@@ -186,3 +188,46 @@ class TestServiceFunction:
         pipeline.service(make_coflow_packet(1, 0, 0, [(1, 1), (2, 2)]), 0.0, None)
         assert pipeline.stats.value(f"{pipeline.path}.packets") == 1
         assert pipeline.stats.value(f"{pipeline.path}.elements") == 2
+
+
+class TestHookElision:
+    """A service without a hook builds no PHV; a hook that only forwards
+    is its reference."""
+
+    @staticmethod
+    def _packets():
+        """Accepted packets (coflow arrays, a bare non-IPv4 frame) and a
+        rejected one (Ethernet promising an IPv4 header it lacks)."""
+        return [
+            make_coflow_packet(1, 0, 0, [(1, 1)]),
+            make_coflow_packet(1, 0, 1, [(2, 2), (3, 3)]),
+            Packet([ETHERNET.instantiate(ethertype=0x86DD)]),
+            Packet([ETHERNET.instantiate(ethertype=0x0800)]),
+            make_coflow_packet(2, 1, 0, [(4, 4)] * 16),
+        ]
+
+    @classmethod
+    def _observe(cls, hook):
+        pipeline = _pipeline(array_width=16)
+        services = []
+        # Two packets per ready time, so some services queue.
+        for index, packet in enumerate(cls._packets()):
+            before = consume_packet_id()
+            record = pipeline.service(packet, (index // 2) * 1e-9, hook)
+            draws = consume_packet_id() - before - 1
+            services.append((record, draws))
+        return (
+            services,
+            pipeline.stats.snapshot(),
+            pipeline.parser.packets_parsed,
+            pipeline.parser.packets_rejected,
+            pipeline.deparser.packets_deparsed,
+            list(pipeline.histogram("queueing_delay_s")._samples),
+        )
+
+    def test_no_hook_matches_pass_through_hook(self):
+        elided = self._observe(None)
+        reference = self._observe(lambda ctx, packet, phv: Decision.forward())
+        assert elided == reference
+        verdicts = [record.decision.verdict for record, _ in elided[0]]
+        assert Verdict.DROP in verdicts and Verdict.FORWARD in verdicts

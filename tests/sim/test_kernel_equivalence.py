@@ -23,6 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.event import Simulator
+from tests.integration.test_switch_trace_stream import (
+    _digest as _trace_digest,
+)
 
 # Times are drawn from a small grid so equal-time ties (the case FIFO
 # tie-breaking decides) are common rather than astronomically rare.
@@ -296,12 +299,14 @@ class TestProbedFastPathEquivalence:
 
 # --- telemetry-level differential -------------------------------------------------
 #
-# The observability ladder's core claim (docs/TELEMETRY.md): ``counters``
-# and ``sampled`` are *pure observers* — a switch run at either level is
-# bit-identical to the fully-instrumented ``full`` run in everything the
-# simulation computes (dispatch order, packet ids modulo the process-
-# global offset, terminal counters, the final clock), while keeping the
-# ``trace is None`` fast path the instrumented run forfeits.
+# The observability ladder's core claim (docs/TELEMETRY.md): every level
+# is a *pure observer* — a switch run at ``counters``, ``sampled`` or
+# ``full`` is bit-identical in everything the simulation computes
+# (dispatch order, packet ids modulo the process-global offset, terminal
+# counters, the final clock), and all of them take the same batched,
+# fast-dispatch path.  Batched admission in turn must match its
+# per-packet reference: one ``BaseSwitch.inject`` per arrival, then a
+# drain.
 
 _LEVEL_WORKERS = st.lists(
     st.integers(0, 7), min_size=2, max_size=4, unique=True
@@ -333,7 +338,20 @@ def _switch_digest(switch, result):
     )
 
 
-def _run_at_level(level, workers, elements, sample, target="rmt"):
+def _drive(switch, timed_packets, per_packet):
+    """``switch.run`` (batched admission), or the per-packet reference:
+    one ``inject`` per arrival, then a drain."""
+    if not per_packet:
+        return switch.run(timed_packets)
+    for time, packet in timed_packets:
+        switch.inject(packet, time)
+    switch._sim.run()
+    return switch.finalize()
+
+
+def _run_at_level(
+    level, workers, elements, sample, target="rmt", per_packet=False
+):
     """One parameter-server run at a telemetry level; returns its
     observable digest."""
     from repro.adcp.config import ADCPConfig
@@ -362,13 +380,13 @@ def _run_at_level(level, workers, elements, sample, target="rmt"):
             central_pipelines=4,
         )
         switch = ADCPSwitch(config, app, telemetry=telemetry)
-    result = switch.run(app.workload(config.port_speed_bps))
+    result = _drive(switch, app.workload(config.port_speed_bps), per_packet)
     return _switch_digest(switch, result), switch, telemetry
 
 
-def _run_mergejoin_at_level(level):
+def _run_mergejoin_at_level(level, per_packet=False):
     """An ADCP sort-merge join; its ordered-flow releases reach TM1 in
-    same-time bursts on the fast path."""
+    same-time bursts."""
     from repro.adcp.config import ADCPConfig
     from repro.adcp.switch import ADCPSwitch
     from repro.apps import SortMergeJoinApp
@@ -380,16 +398,19 @@ def _run_mergejoin_at_level(level):
         central_pipelines=4,
     )
     app = SortMergeJoinApp(left_port=0, right_port=1, output_port=7)
+    telemetry = Telemetry.at_level(level, seed=0, sample=2)
     switch = ADCPSwitch(
         config,
         app,
         ordered_flows=app.ordered_flows(),
-        telemetry=Telemetry.at_level(level, seed=0, sample=2),
+        telemetry=telemetry,
     )
     left = [(k, k) for k in (1, 2, 2, 4, 5, 7, 9, 9, 12)]
     right = [(k, 100 * k) for k in (2, 3, 4, 4, 5, 8, 9, 12, 12)]
-    result = switch.run(app.workload(config.port_speed_bps, left, right))
-    return _switch_digest(switch, result), switch
+    result = _drive(
+        switch, app.workload(config.port_speed_bps, left, right), per_packet
+    )
+    return _switch_digest(switch, result), switch, telemetry
 
 
 class TestTelemetryLevelEquivalence:
@@ -401,7 +422,7 @@ class TestTelemetryLevelEquivalence:
     ):
         """``counters``/``sampled`` vs ``full``: identical dispatch order
         (delivery sequence with run-relative packet ids), final counter
-        values, and logical event count — with the fast path kept."""
+        values, and logical event count — all with batched admission."""
         full, full_switch, _ = _run_at_level(
             "full", workers, elements, sample, target
         )
@@ -417,17 +438,66 @@ class TestTelemetryLevelEquivalence:
             # work matched above, the physical events were fewer.
             if len(workers) > 1:
                 assert fast_switch._sim.events_coalesced > 0
-                assert full_switch._sim.events_coalesced == 0
+                assert full_switch._sim.events_coalesced > 0
 
     def test_adcp_merge_bursts_match_instrumented(self):
-        """TM1's burst admission of merge releases (fast path only)
-        matches the per-packet admissions of the ``full`` run."""
-        full, full_switch = _run_mergejoin_at_level("full")
-        assert full_switch._sim.events_coalesced == 0
+        """TM1's burst admission of merge releases gives the same run at
+        every level, ``full`` included."""
+        full, full_switch, _ = _run_mergejoin_at_level("full")
+        assert full_switch._sim.events_coalesced > 0
         for level in ("counters", "sampled"):
-            fast, fast_switch = _run_mergejoin_at_level(level)
+            fast, fast_switch, _ = _run_mergejoin_at_level(level)
             assert fast == full
             assert fast_switch._sim.events_coalesced > 0
+
+    def test_full_dispatches_on_the_fast_loop(self, monkeypatch):
+        """A traced run batches its arrivals and never needs the
+        reference loop."""
+
+        def refuse(self, until, max_events):
+            raise AssertionError("a full run took the reference loop")
+
+        monkeypatch.setattr(Simulator, "_run_instrumented", refuse)
+        for target in ("rmt", "adcp"):
+            _, switch, telemetry = _run_at_level(
+                "full", [0, 1, 4, 5], 16, 1, target
+            )
+            assert switch._sim.events_coalesced > 0
+            assert telemetry.trace.count(name="packet.delivered") > 0
+
+    @settings(max_examples=5, deadline=None)
+    @given(_LEVEL_WORKERS, _LEVEL_ELEMENTS)
+    @pytest.mark.parametrize("level", ["off", "full"])
+    @pytest.mark.parametrize("target", ["rmt", "adcp"])
+    def test_batched_admission_matches_per_packet(
+        self, target, level, workers, elements
+    ):
+        """``switch.run`` against one ``inject`` per arrival: the same
+        run and, at ``full``, the same trace stream."""
+        batched, _, batched_hub = _run_at_level(
+            level, workers, elements, 1, target
+        )
+        reference, _, reference_hub = _run_at_level(
+            level, workers, elements, 1, target, per_packet=True
+        )
+        assert batched == reference
+        if level == "full":
+            assert len(batched_hub.trace) > 0
+            assert _trace_digest(batched_hub.trace) == _trace_digest(
+                reference_hub.trace
+            )
+
+    @pytest.mark.parametrize("level", ["off", "full"])
+    def test_merge_join_batched_admission_matches_per_packet(self, level):
+        batched, _, batched_hub = _run_mergejoin_at_level(level)
+        reference, _, reference_hub = _run_mergejoin_at_level(
+            level, per_packet=True
+        )
+        assert batched == reference
+        if level == "full":
+            assert _trace_digest(batched_hub.trace) == _trace_digest(
+                reference_hub.trace
+            )
 
     def test_sampled_records_cover_only_sampled_subset(self):
         """Every record belongs to an admitted span; sample=1 records

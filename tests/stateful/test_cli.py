@@ -83,6 +83,18 @@ class TestStatefulCLI:
         assert captured.err.count("\n") == 1
         assert "zipf skew must be > 1.0 and finite" in captured.err
 
+    @pytest.mark.parametrize("skew", ["3.0", "1.05", "nan"])
+    def test_fabric_topology_refuses_skew(self, skew, capsys):
+        """A fabric run draws with a fixed zipf exponent; ``--skew`` used
+        to be ignored there yet recorded in the run's params."""
+        argv = ["--json", "stateful", "synflood",
+                "--topology", "leaf-spine-2x2", "--skew", skew]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "skew applies to topology 'single' only" in captured.err
+
     def test_missing_workload_exits_two(self, capsys):
         assert main(["stateful"]) == 2
         assert "exactly one workload" in capsys.readouterr().err

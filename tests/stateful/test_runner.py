@@ -16,7 +16,12 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.stateful.runner import run_stateful
-from repro.stateful.workloads import STATEFUL_WORKLOADS, build_single
+from repro.stateful.workloads import (
+    DEFAULT_SKEW,
+    FABRIC_SKEW,
+    STATEFUL_WORKLOADS,
+    build_single,
+)
 
 _FAST = dict(flows=32, packets=160)
 
@@ -97,6 +102,39 @@ class TestFabricEndToEnd:
         for section in run.sections[:2]:
             assert section.series["delivered"]["mean"] > 0
             assert section.counters["switches"] >= 4
+
+    def test_run_records_the_skew_it_draws_with(self):
+        """A fabric workload draws with a fixed exponent: its run records
+        that one and refuses another, where it used to record a skew it
+        never used."""
+        fabric = run_stateful(
+            "heavyhitter", topology="leaf-spine-2x2", target="adcp",
+            packets=64,
+        )
+        assert fabric.ledger()["params"]["skew"] == FABRIC_SKEW
+        no_keys = run_stateful(
+            "synflood", topology="leaf-spine-2x2", target="adcp",
+            packets=64,
+        )
+        assert no_keys.ledger()["params"]["skew"] is None
+        single = run_stateful("synflood", target="adcp", **_FAST)
+        assert single.ledger()["params"]["skew"] == DEFAULT_SKEW
+        for skew in (3.0, 1.05, math.nan):
+            with pytest.raises(ConfigError, match="topology 'single' only"):
+                run_stateful(
+                    "heavyhitter", topology="leaf-spine-2x2", skew=skew
+                )
+
+    def test_campaign_cell_forwards_only_a_set_skew(self):
+        from repro.campaign.cells import run_cell
+
+        cell = {
+            "workload": "heavyhitter", "topology": "leaf-spine-2x2",
+            "target": "adcp", "packets": 64, "seed": 1,
+        }
+        assert run_cell("stateful", cell)["params"]["skew"] == FABRIC_SKEW
+        with pytest.raises(ConfigError, match="topology 'single' only"):
+            run_cell("stateful", {**cell, "skew": 1.5})
 
     def test_fabric_keycache_sees_cross_replica_staleness(self):
         run = run_stateful(

@@ -81,12 +81,12 @@ class TestTelemetryLevel:
             TelemetryLevel.parse("verbose")
 
     def test_ladder_semantics(self):
-        assert all(
-            level.preserves_fast_path
+        assert not any(
+            level.wants_trace
             for level in TelemetryLevel
             if level is not TelemetryLevel.FULL
         )
-        assert not TelemetryLevel.FULL.preserves_fast_path
+        assert TelemetryLevel.FULL.wants_trace
         assert not TelemetryLevel.OFF.wants_monitor
         assert TelemetryLevel.COUNTERS.wants_monitor
         assert TelemetryLevel.SAMPLED.wants_monitor

@@ -4,8 +4,10 @@ The cases come from ``repro.__main__._SUBCOMMANDS``, so a flag is covered
 as soon as it is added: every flag that converts its value (a number or
 a duration) is fed values that are not finite numbers, and every
 subcommand gets an unknown flag, a flag without its value, and a wrong
-number of positionals.  Each case must exit 2 with one ``error:`` line,
-print nothing to stdout, and write no file; none starts a simulation.
+number of positionals.  Each case also carries every ``PATH``/``DIR``
+flag of its subcommand, pointing into the test's directory.  Each case
+must exit 2 with one ``error:`` line, print nothing to stdout, and write
+no file; none starts a simulation.
 """
 
 from __future__ import annotations
@@ -59,10 +61,20 @@ def _cases():
         yield pytest.param([name, *good, "extra"], id=f"{name} too many")
 
 
+def _output_flags(name: str, directory: Path) -> list[str]:
+    """Every output flag of ``name``, each naming a file in ``directory``."""
+    argv = []
+    for flag, spec in _SUBCOMMANDS[name].flags.items():
+        if spec.metavar in ("PATH", "DIR"):
+            argv += [flag, str(directory / flag.lstrip("-"))]
+    return argv
+
+
 @pytest.mark.parametrize("argv", _cases())
 def test_bad_invocation_exits_two(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert main(argv) == 2
+    name, *rest = argv
+    assert main([name, *_output_flags(name, tmp_path), *rest]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
