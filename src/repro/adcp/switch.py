@@ -124,7 +124,7 @@ class ADCPSwitch(BaseSwitch):
     @staticmethod
     def _default_key(packet: Packet) -> int:
         if packet.payload is not None and len(packet.payload) > 0:
-            return packet.payload[0].key
+            return packet.payload.key_column[0]
         if packet.has_header("coflow"):
             return packet.header("coflow")["coflow_id"]
         return 0

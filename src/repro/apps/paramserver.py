@@ -29,7 +29,7 @@ from ..arch.decision import Decision
 from ..coflow.model import Coflow
 from ..coflow.placement import HashPlacement
 from ..errors import ConfigError
-from ..net.packet import Element, Packet
+from ..net.packet import Packet
 from ..net.phv import PHV
 from ..net.traffic import make_coflow_packet
 from .base import OP_DATA, OP_RESULT, coflow_arrivals
@@ -63,7 +63,7 @@ class ParameterServerApp(SwitchApp):
         self.worker_ports = list(worker_ports)
         self.vector_elements = vector_elements
         self.coflow_id = coflow_id
-        self._pending: dict[int, list[Element]] = {}
+        self._pending: dict[int, list[tuple[int, int]]] = {}
         self._completed: dict[int, int] = {}
         self._expected: dict[int, int] = {}
         self.results_emitted = 0
@@ -95,7 +95,7 @@ class ParameterServerApp(SwitchApp):
     def placement_key(self, packet: Packet) -> int:
         if packet.payload is None or len(packet.payload) == 0:
             raise ConfigError("parameter packet carries no elements")
-        return packet.payload[0].key
+        return packet.payload.key_column[0]
 
     # --- hooks -----------------------------------------------------------------------
 
@@ -107,14 +107,15 @@ class ParameterServerApp(SwitchApp):
         acc = ctx.register("agg_acc", self.vector_elements, width_bits=64)
         count = ctx.register("agg_cnt", self.vector_elements, width_bits=32)
         num_workers = len(self.worker_ports)
-        assert packet.payload is not None
-        keys = [element.key for element in packet.payload]
-        totals = acc.add_many(keys, [element.value for element in packet.payload])
+        payload = packet.payload
+        assert payload is not None
+        keys = payload.key_column
+        totals = acc.add_many(keys, payload.value_column)
         seen = count.add_many(keys, [1] * len(keys))
         pending = self._pending[partition]
         for key, total, contributions in zip(keys, totals, seen):
             if contributions == num_workers:
-                pending.append(Element(key, total))
+                pending.append((key, total))
                 self._completed[partition] += 1
 
         emissions = self._drain_emissions(partition)
@@ -130,12 +131,12 @@ class ParameterServerApp(SwitchApp):
             emissions.append(self._result_packet(batch))
         return emissions
 
-    def _result_packet(self, batch: list[Element]) -> Packet:
+    def _result_packet(self, batch: list[tuple[int, int]]) -> Packet:
         packet = make_coflow_packet(
             self.coflow_id,
             flow_id=0xFFFF,
             seq=self.results_emitted,
-            elements=[(e.key, e.value) for e in batch],
+            elements=batch,
             opcode=OP_RESULT,
         )
         packet.meta.egress_ports = tuple(self.worker_ports)
@@ -186,12 +187,13 @@ class ParameterServerApp(SwitchApp):
         for packet in delivered:
             if packet.header("coflow")["opcode"] != OP_RESULT:
                 continue
-            assert packet.payload is not None
-            for element in packet.payload:
-                if element.key in results and results[element.key] != element.value:
+            payload = packet.payload
+            assert payload is not None
+            for key, value in zip(payload.key_column, payload.value_column):
+                if key in results and results[key] != value:
                     raise ConfigError(
-                        f"conflicting aggregates for key {element.key}: "
-                        f"{results[element.key]} vs {element.value}"
+                        f"conflicting aggregates for key {key}: "
+                        f"{results[key]} vs {value}"
                     )
-                results[element.key] = element.value
+                results[key] = value
         return results

@@ -140,7 +140,7 @@ class SwitchApp:
         coflow id, so simple apps need not override it.
         """
         if packet.payload is not None and len(packet.payload) > 0:
-            return packet.payload[0].key
+            return packet.payload.key_column[0]
         if packet.has_header("coflow"):
             return packet.header("coflow")["coflow_id"]
         return 0

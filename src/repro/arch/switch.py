@@ -388,7 +388,9 @@ class BaseSwitch(Component):
         """Admit a packet to the egress TM, replicating multicast.
 
         Unrouted unicast packets first ask the fabric's route resolver;
-        a packet still without a port is dropped as ``no_route``.
+        a packet still without a port is dropped as ``no_route``.  A
+        packet or multicast copy the full buffer rejects is dropped with
+        the TM's ``*_buffer_full`` reason.
         """
         meta = packet.meta
         if (
@@ -400,9 +402,12 @@ class BaseSwitch(Component):
         if self._steer(packet, ready, station):
             return
         if meta.egress_ports:
+            rejected: list[Packet] = []
             deliveries = self._egress_tm.multicast_admit(
-                packet, meta.egress_ports, ready
+                packet, meta.egress_ports, ready, rejected
             )
+            for copy in rejected:
+                self._drop(copy, ready)
             spans = self.spans
             if spans is not None and meta.span is not None:
                 # Replicated copies get fresh metadata; keep them on the

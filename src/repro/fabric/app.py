@@ -21,7 +21,7 @@ from ..arch.decision import Decision
 from ..coflow.placement import HashPlacement
 from ..errors import ConfigError
 from ..net.headers import OP_DATA, OP_RESULT
-from ..net.packet import Element, Packet
+from ..net.packet import Packet
 from ..net.phv import PHV
 from ..net.traffic import make_coflow_packet
 from .topology import host_ip
@@ -58,7 +58,7 @@ class FabricAggregateApp(SwitchApp):
         self.hosted = {spec.coflow_id: spec for spec in hosted}
         if len(self.hosted) != len(hosted):
             raise ConfigError("duplicate hosted coflow ids")
-        self._pending: dict[tuple[int, int], list[Element]] = {}
+        self._pending: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self._completed: dict[tuple[int, int], int] = {}
         self._expected: dict[tuple[int, int], int] = {}
         self.results_emitted = 0
@@ -101,7 +101,7 @@ class FabricAggregateApp(SwitchApp):
 
     def placement_key(self, packet: Packet) -> int:
         if packet.payload is not None and len(packet.payload) > 0:
-            return packet.payload[0].key
+            return packet.payload.key_column[0]
         if packet.has_header("coflow"):
             return packet.header("coflow")["coflow_id"]
         return 0
@@ -121,14 +121,15 @@ class FabricAggregateApp(SwitchApp):
             f"agg{coflow_id}_cnt", spec.vector_elements, width_bits=32
         )
         workers = len(spec.worker_hosts)
-        assert packet.payload is not None
-        keys = [element.key for element in packet.payload]
-        totals = acc.add_many(keys, [element.value for element in packet.payload])
+        payload = packet.payload
+        assert payload is not None
+        keys = payload.key_column
+        totals = acc.add_many(keys, payload.value_column)
         seen = count.add_many(keys, [1] * len(keys))
         pending = self._pending[(coflow_id, partition)]
         for key, total, contributions in zip(keys, totals, seen):
             if contributions == workers:
-                pending.append(Element(key, total))
+                pending.append((key, total))
                 self._completed[(coflow_id, partition)] += 1
         emissions = self._drain_emissions(coflow_id, partition)
         if emissions and packet.meta.origin_time is not None:
@@ -154,13 +155,13 @@ class FabricAggregateApp(SwitchApp):
         return emissions
 
     def _result_packet(
-        self, spec: HostedCoflow, batch: list[Element], worker: int
+        self, spec: HostedCoflow, batch: list[tuple[int, int]], worker: int
     ) -> Packet:
         packet = make_coflow_packet(
             spec.coflow_id,
             flow_id=0xFFFF,
             seq=self.results_emitted,
-            elements=[(e.key, e.value) for e in batch],
+            elements=batch,
             opcode=OP_RESULT,
             dst_ip=host_ip(worker),
         )

@@ -531,14 +531,15 @@ def _verify_allreduce(run_workload, hosts) -> None:
         for host in spec.worker_hosts:
             seen: dict[int, int] = {}
             for _, packet in hosts[host].results(spec.coflow_id):
-                assert packet.payload is not None
-                for element in packet.payload:
-                    seen[element.key] = seen.get(element.key, 0) + 1
-                    expect = (element.key + 1) * workers
-                    if element.value != expect:
+                payload = packet.payload
+                assert payload is not None
+                for key, value in zip(payload.key_column, payload.value_column):
+                    seen[key] = seen.get(key, 0) + 1
+                    expect = (key + 1) * workers
+                    if value != expect:
                         raise SimulationError(
-                            f"coflow {spec.coflow_id} key {element.key} at "
-                            f"h{host}: aggregate {element.value}, expected "
+                            f"coflow {spec.coflow_id} key {key} at "
+                            f"h{host}: aggregate {value}, expected "
                             f"{expect}"
                         )
             keys = set(range(spec.vector_elements))

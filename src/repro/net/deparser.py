@@ -10,9 +10,11 @@ shape from the inputs.
 
 from __future__ import annotations
 
+from operator import is_
+
 from ..errors import DeparseError
 from .headers import Header
-from .packet import Element, ElementArray, Packet
+from .packet import ElementArray, Packet
 from .phv import PHV, _element_names
 
 
@@ -33,51 +35,52 @@ class Deparser:
         self.packets_deparsed = 0
 
     def deparse(self, phv: PHV, original: Packet) -> Packet:
-        """Return a new packet reflecting PHV modifications."""
+        """Return a new packet reflecting PHV modifications.
+
+        The parser lifts a header's own value objects into the PHV, so a
+        field the hook left alone still holds the very object the header
+        does.  Only a field holding another object is written, through
+        the range-checked :meth:`Header.__setitem__`; a header with no
+        such field keeps sharing its source's values, and an array the
+        hook left alone keeps the source's payload.
+        """
         phv_values = phv._values
         headers: list[Header] = []
         for header in original.headers:
             rebuilt = header.copy()
-            rebuilt_values = rebuilt._values
-            # The per-type plan carries precomputed qualified names and
-            # max values; the range check mirrors Header.__setitem__
-            # (hooks can write out-of-range values into the PHV, and the
-            # deparser is where that must surface).
-            for phv_name, field_name, max_value in header.type._deparse_plan:
+            values = header._values
+            for phv_name, field_name in header.type._deparse_plan:
                 value = phv_values.get(phv_name, _MISSING)
-                if value is _MISSING:
-                    continue
-                if 0 <= value <= max_value:
-                    rebuilt_values[field_name] = value
-                else:
-                    rebuilt[field_name] = value  # raises the range ConfigError
+                if value is not _MISSING and value is not values[field_name]:
+                    rebuilt[field_name] = value
             headers.append(rebuilt)
 
         payload = self._rebuild_array(phv, original)
         packet = Packet(headers, payload, original.extra_payload_bytes)
         packet.meta = original.meta
         if packet.has_header("coflow") and payload is not None:
-            packet.header("coflow")["element_count"] = len(payload)
+            # Written only when it changes, so a clean deparse keeps
+            # sharing the coflow header's values.
+            coflow = packet.header("coflow")
+            if coflow["element_count"] != len(payload):
+                coflow["element_count"] = len(payload)
         self.packets_deparsed += 1
         return packet
 
     def _rebuild_array(self, phv: PHV, original: Packet) -> ElementArray | None:
+        payload = original.payload
+        width = payload.element_width_bytes if payload else 8
         override = phv.get_meta("payload_override")
         if override is not None:
             # A hook replaced the element set wholesale (e.g. an ingress
             # filter dropping elements): honor it over the parsed view,
             # whose array containers are fixed-length and cannot shrink.
-            width = (
-                original.payload.element_width_bytes if original.payload else 8
-            )
-            return ElementArray(
-                [Element(k, v) for k, v in override], width
-            )
+            return ElementArray(override, width)
         key_array = f"{self.array_name}.key"
         value_array = f"{self.array_name}.value"
         if f"{key_array}.length" not in phv:
             # Parser never lifted the array; pass the payload through.
-            return original.payload.copy() if original.payload else None
+            return payload
 
         key_len = phv.array_length(key_array)
         if f"{value_array}.length" not in phv:
@@ -91,11 +94,19 @@ class Deparser:
                 f"({key_len} vs {value_len})"
             )
         phv_values = phv._values
-        keys = [phv_values[n] for n in _element_names(key_array, key_len)]
-        values = [phv_values[n] for n in _element_names(value_array, value_len)]
-        width = (
-            original.payload.element_width_bytes if original.payload else 8
+        keys = tuple(phv_values[n] for n in _element_names(key_array, key_len))
+        values = tuple(
+            phv_values[n] for n in _element_names(value_array, value_len)
         )
-        return ElementArray(
-            [Element(k, v) for k, v in zip(keys, values)], width
-        )
+        if (
+            payload is not None
+            and _same_objects(keys, payload.key_column)
+            and _same_objects(values, payload.value_column)
+        ):
+            return payload
+        return ElementArray.from_columns(keys, values, width)
+
+
+def _same_objects(column: tuple, lifted: tuple) -> bool:
+    """Whether two columns hold the very same value objects."""
+    return len(column) == len(lifted) and all(map(is_, column, lifted))

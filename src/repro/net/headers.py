@@ -59,15 +59,12 @@ class HeaderType:
         bits = sum(f.width_bits for f in self.fields)
         object.__setattr__(self, "_width_bits", bits)
         object.__setattr__(self, "_width_bytes", (bits + 7) // 8)
-        # Deparse plan: per field, the PHV-qualified name ("type.field"),
-        # the bare field name, and the max value for range re-checks.
+        # Deparse plan: per field, the PHV-qualified name ("type.field")
+        # and the bare field name.
         object.__setattr__(
             self,
             "_deparse_plan",
-            tuple(
-                (f"{self.name}.{f.name}", f.name, f.max_value)
-                for f in self.fields
-            ),
+            tuple((f"{self.name}.{f.name}", f.name) for f in self.fields),
         )
 
     @property
@@ -96,13 +93,17 @@ class Header:
     """A concrete header: a type plus field values.
 
     Values are plain ints, range-checked against field widths on set.
+    A copy shares its source's value dict until either side writes, and
+    :meth:`__setitem__`, the only writer, takes a private dict first.
+    The parser and the deparser read ``_values`` directly.
     """
 
-    __slots__ = ("type", "_values")
+    __slots__ = ("type", "_values", "_shared")
 
     def __init__(self, header_type: HeaderType, values: dict[str, int] | None = None):
         self.type = header_type
         self._values: dict[str, int] = dict(header_type._zero_values)
+        self._shared = False
         if values:
             for name, value in values.items():
                 self[name] = value
@@ -124,6 +125,9 @@ class Header:
                 f"value {value} out of range for {self.type.name}.{name} "
                 f"({spec.width_bits} bits)"
             )
+        if self._shared:
+            self._values = dict(self._values)
+            self._shared = False
         self._values[name] = value
 
     def __contains__(self, name: str) -> bool:
@@ -134,11 +138,12 @@ class Header:
 
     def copy(self) -> "Header":
         # Values in an existing header already passed range validation,
-        # so the copy skips __init__ entirely (deparse copies every
-        # header of every serviced packet).
+        # so the copy skips __init__ and shares the value dict; both
+        # sides are marked shared, so whichever writes first unshares.
         clone = Header.__new__(Header)
         clone.type = self.type
-        clone._values = dict(self._values)
+        clone._values = self._values
+        clone._shared = self._shared = True
         return clone
 
     def __eq__(self, other: object) -> bool:

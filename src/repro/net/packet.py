@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import ConfigError
 from ..units import (
@@ -37,73 +37,105 @@ def consume_packet_id() -> int:
     return next(_packet_ids)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Element:
     """One data element of an array payload: a key and a value.
 
     Pure-value payloads (e.g. ML weights) use ``key`` as the element index;
-    key/value workloads (caches, joins) use both.
+    key/value workloads (caches, joins) use both.  Iterating or indexing
+    an :class:`ElementArray` builds these as read-only snapshots.
     """
 
     key: int
     value: int
 
 
-class ElementArray:
-    """A fixed-element-width array payload.
+def _check_width(element_width_bytes: int) -> None:
+    if element_width_bytes <= 0:
+        raise ConfigError(
+            f"element width must be positive, got {element_width_bytes}"
+        )
 
-    ``element_width_bytes`` covers one key+value pair on the wire; the
-    goodput math in :mod:`repro.coflow.metrics` uses it to compare packing
-    schemes (1 element per packet vs 16).
+
+class ElementArray:
+    """A fixed-element-width array payload, stored as two columns.
+
+    ``key_column`` and ``value_column`` are equal-length tuples, so a
+    payload is immutable: a packet whose elements change gets a new
+    array, and copies of a packet share one.  ``element_width_bytes``
+    covers one key+value pair on the wire; the goodput math in
+    :mod:`repro.coflow.metrics` uses it to compare packing schemes
+    (1 element per packet vs 16).
     """
+
+    __slots__ = ("key_column", "value_column", "element_width_bytes")
 
     def __init__(
         self,
         elements: Iterable[Element] | Sequence[tuple[int, int]],
         element_width_bytes: int = 8,
     ) -> None:
-        if element_width_bytes <= 0:
-            raise ConfigError(
-                f"element width must be positive, got {element_width_bytes}"
-            )
-        converted: list[Element] = []
+        _check_width(element_width_bytes)
+        keys: list[int] = []
+        values: list[int] = []
         for item in elements:
             if isinstance(item, Element):
-                converted.append(item)
+                keys.append(item.key)
+                values.append(item.value)
             else:
                 key, value = item
-                converted.append(Element(key, value))
-        self.elements = converted
+                keys.append(key)
+                values.append(value)
+        self.key_column = tuple(keys)
+        self.value_column = tuple(values)
         self.element_width_bytes = element_width_bytes
 
-    def __len__(self) -> int:
-        return len(self.elements)
+    @classmethod
+    def from_columns(
+        cls,
+        keys: Sequence[int],
+        values: Sequence[int],
+        element_width_bytes: int = 8,
+    ) -> "ElementArray":
+        """Build from a key column and a value column of equal length.
 
-    def __iter__(self):
-        return iter(self.elements)
+        Builders that already hold the columns skip the per-element
+        walk of the constructor.
+        """
+        _check_width(element_width_bytes)
+        if len(keys) != len(values):
+            raise ConfigError(
+                f"key and value columns differ in length "
+                f"({len(keys)} vs {len(values)})"
+            )
+        array = cls.__new__(cls)
+        array.key_column = tuple(keys)
+        array.value_column = tuple(values)
+        array.element_width_bytes = element_width_bytes
+        return array
+
+    def __len__(self) -> int:
+        return len(self.key_column)
+
+    def __iter__(self) -> Iterator[Element]:
+        return map(Element, self.key_column, self.value_column)
 
     def __getitem__(self, index: int) -> Element:
-        return self.elements[index]
+        return Element(self.key_column[index], self.value_column[index])
 
     @property
     def width_bytes(self) -> int:
         """Total payload bytes occupied by the array."""
-        return len(self.elements) * self.element_width_bytes
+        return len(self.key_column) * self.element_width_bytes
 
     def keys(self) -> list[int]:
-        return [e.key for e in self.elements]
+        return list(self.key_column)
 
     def values(self) -> list[int]:
-        return [e.value for e in self.elements]
-
-    def copy(self) -> "ElementArray":
-        return ElementArray(
-            [Element(e.key, e.value) for e in self.elements],
-            self.element_width_bytes,
-        )
+        return list(self.value_column)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ElementArray n={len(self.elements)} w={self.element_width_bytes}B>"
+        return f"<ElementArray n={len(self)} w={self.element_width_bytes}B>"
 
 
 @dataclass(slots=True)
@@ -146,8 +178,20 @@ class Packet:
 
     ``extra_payload_bytes`` accounts for opaque payload beyond the element
     array (padding, application framing) so total sizes can match any wire
-    format under study.
+    format under study.  A copy shares the payload and, until either
+    side writes a field, each header's values (:meth:`Header.copy`).
     """
+
+    __slots__ = (
+        "_headers",
+        "_payload",
+        "extra_payload_bytes",
+        "meta",
+        "packet_id",
+        "_sizes",
+        "_by_type",
+        "_accepts_memo",
+    )
 
     def __init__(
         self,
@@ -262,13 +306,17 @@ class Packet:
     @property
     def element_count(self) -> int:
         payload = self._payload
-        return len(payload.elements) if payload else 0
+        return len(payload.key_column) if payload else 0
 
     def copy(self) -> "Packet":
-        """Deep copy with fresh packet id and reset metadata."""
+        """Copy with fresh packet id and reset metadata.
+
+        The copy shares the immutable payload and, until either side
+        writes, each header's value dict.
+        """
         clone = Packet(
             [h.copy() for h in self._headers],
-            self._payload.copy() if self._payload else None,
+            self._payload,
             self.extra_payload_bytes,
         )
         # A copy starts bit-identical, so it can share the parent's size

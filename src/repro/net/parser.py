@@ -422,13 +422,12 @@ class Parser:
                     f"packet carries {len(payload)} elements but state "
                     f"{state.name!r} extracts at most {state.max_array_elements}"
                 )
-            phv._allocate_array_planned(f"{name}.key", payload.keys())
-            phv._allocate_array_planned(f"{name}.value", payload.values())
+            phv._allocate_array_planned(f"{name}.key", payload.key_column)
+            phv._allocate_array_planned(f"{name}.value", payload.value_column)
         else:
             # Classic RMT: only the first element is liftable as scalars.
-            first = payload[0]
-            phv.allocate(f"{name}.key[0]", 32, first.key)
-            phv.allocate(f"{name}.value[0]", 32, first.value)
+            phv.allocate(f"{name}.key[0]", 32, payload.key_column[0])
+            phv.allocate(f"{name}.value[0]", 32, payload.value_column[0])
             phv._values[f"{name}.key.length"] = 1
             phv._values[f"{name}.value.length"] = 1
 

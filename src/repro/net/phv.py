@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ..errors import ConfigError
 
@@ -230,7 +230,7 @@ class PHV:
             values[qname] = header_values[fname]
 
     def _allocate_array_planned(
-        self, name: str, element_values: list[int]
+        self, name: str, element_values: Sequence[int]
     ) -> None:
         """Bulk :meth:`allocate_array` + :meth:`set_array` for 32-bit
         elements, with identical collision/capacity semantics."""

@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..units import BITS_PER_BYTE
 from .headers import coflow_header, standard_stack
-from .packet import Element, ElementArray, Packet
+from .packet import ElementArray, Packet
 
 _TEMPLATE_HEADERS: list | None = None
 
@@ -37,7 +37,9 @@ def make_coflow_packet(
     Workload generators call this once per packet, so the fixed parts of
     the stack (Ethernet/IPv4/UDP with their next-protocol wiring) come
     from a shared template and only the variable fields are set — with
-    the same range validation ``instantiate`` performs.
+    the same range validation ``instantiate`` performs.  The headers
+    left unset keep sharing the template's values, and ``elements``
+    becomes the payload's key and value columns.
     """
     global _TEMPLATE_HEADERS
     template = _TEMPLATE_HEADERS
@@ -56,9 +58,8 @@ def make_coflow_packet(
     coflow["element_width_bytes"] = element_width_bytes
     coflow["worker_id"] = worker_id
     coflow["round"] = round_
-    payload = ElementArray(
-        [Element(k, v) for k, v in elements], element_width_bytes
-    )
+    keys, values = zip(*elements) if elements else ((), ())
+    payload = ElementArray.from_columns(keys, values, element_width_bytes)
     return Packet([eth, ip, udp, coflow], payload)
 
 

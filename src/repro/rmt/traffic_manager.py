@@ -174,14 +174,20 @@ class TrafficManager(Component):
         )
 
     def multicast_admit(
-        self, packet: Packet, ports: tuple[int, ...], ready_time: float
+        self,
+        packet: Packet,
+        ports: tuple[int, ...],
+        ready_time: float,
+        rejected: list[Packet] | None = None,
     ) -> list[tuple[Packet, int, float]]:
         """Replicate a packet toward several egress ports.
 
         Output-buffered multicast: one buffer slot per copy.  Copies that
         do not fit are dropped individually (partial delivery, as real
-        shared-memory TMs behave under pressure).  Returns a list of
-        ``(copy, egress_pipeline, deliver_time)``.
+        shared-memory TMs behave under pressure) and appended to
+        ``rejected``, in replication order, so the caller can record
+        them.  Returns a list of ``(copy, egress_pipeline,
+        deliver_time)``.
         """
         if not ports:
             raise ConfigError("multicast needs at least one port")
@@ -194,6 +200,8 @@ class TrafficManager(Component):
             copy.meta.egress_ports = ()
             admitted = self.admit(copy, ready_time)
             if admitted is None:
+                if rejected is not None:
+                    rejected.append(copy)
                 continue
             if self.trace is not None:
                 # Replication severs the packet-id chain: the parent ends

@@ -359,16 +359,18 @@ class KeyCacheApp(StatefulApp):
             self.shared.merge_round()
             self.ctrl["next_merge_s"] += self.merge_period_s
         header = packet.header("coflow")
-        assert packet.payload is not None and len(packet.payload) > 0
-        key = packet.payload[0].key % self.shared.size
+        payload = packet.payload
+        assert payload is not None and len(payload) > 0
+        key = payload.key_column[0] % self.shared.size
         # Charge the tag check as a register read on this pipeline.
         tags = ctx.register("cache_tags", self.shared.size, width_bits=32)
         tags.read(key)
         if header["opcode"] == OP_PUT:
             self.puts += 1
-            self.shared.update(self.replica, key, packet.payload[0].value)
+            put_value = payload.value_column[0]
+            self.shared.update(self.replica, key, put_value)
             tags.write(key, self.shared.version(self.replica, key) & 0xFFFFFFFF)
-            return Decision.consume(self._emit(packet, OP_RESULT, [(key, packet.payload[0].value)]))
+            return Decision.consume(self._emit(packet, OP_RESULT, [(key, put_value)]))
         version = self.shared.version(self.replica, key)
         value = self.shared.read(self.replica, key)
         if version > 0:

@@ -85,6 +85,11 @@ class TestHeader:
         b = a.copy()
         b["dst_port"] = 2
         assert a["dst_port"] == 1
+        # And the reverse: a write to the source leaves the copy.
+        c = a.copy()
+        a["dst_port"] = 3
+        assert c["dst_port"] == 1
+        assert b["dst_port"] == 2
 
     def test_equality(self):
         assert UDP.instantiate(dst_port=5) == UDP.instantiate(dst_port=5)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,10 +27,29 @@ class TestElementArray:
         assert array.width_bytes == 40
 
     def test_copy_independent(self):
+        """An element read out of the array is a read-only snapshot, and
+        keys()/values() are fresh lists: none of them writes back."""
         array = ElementArray([(1, 1)])
-        clone = array.copy()
-        clone.elements[0].value = 99
-        assert array[0].value == 1
+        snapshot = array[0]
+        with pytest.raises(FrozenInstanceError):
+            snapshot.value = 99
+        array.keys()[0] = 5
+        array.values()[0] = 99
+        assert array[0] == Element(1, 1)
+        assert list(array) == [Element(1, 1)]
+
+    def test_column_constructor_matches_pairs(self):
+        pairs = ElementArray([(1, 10), Element(2, 20)], element_width_bytes=4)
+        columns = ElementArray.from_columns([1, 2], [10, 20], 4)
+        assert columns.key_column == pairs.key_column == (1, 2)
+        assert columns.value_column == pairs.value_column == (10, 20)
+        assert columns.width_bytes == pairs.width_bytes == 8
+
+    def test_column_constructor_validates(self):
+        with pytest.raises(ConfigError):
+            ElementArray.from_columns([1], [1], element_width_bytes=0)
+        with pytest.raises(ConfigError):
+            ElementArray.from_columns([1, 2], [1])
 
     def test_invalid_width(self):
         with pytest.raises(ConfigError):
@@ -100,17 +121,30 @@ class TestPacketCopy:
         assert clone.meta.egress_port is None
 
     def test_copy_payload_independent(self):
+        """The copy shares the immutable payload; its elements cannot be
+        written, and giving the copy a new payload leaves the source's."""
         packet = make_coflow_packet(1, 1, 0, [(1, 1)])
         clone = packet.copy()
-        assert clone.payload is not None and packet.payload is not None
-        clone.payload.elements[0].value = 42
+        assert clone.payload is packet.payload
+        with pytest.raises(FrozenInstanceError):
+            clone.payload[0].value = 42
+        clone.payload = ElementArray([(1, 42)])
         assert packet.payload[0].value == 1
+        assert clone.payload[0].value == 42
 
     def test_copy_headers_independent(self):
         packet = make_coflow_packet(1, 1, 0, [(1, 1)])
         clone = packet.copy()
         clone.header("coflow")["seq"] = 99
         assert packet.header("coflow")["seq"] == 0
+
+    def test_source_write_leaves_copy(self):
+        packet = make_coflow_packet(1, 1, 0, [(1, 1)])
+        clone = packet.copy()
+        packet.header("coflow")["seq"] = 99
+        packet.payload = ElementArray([(1, 42)])
+        assert clone.header("coflow")["seq"] == 0
+        assert clone.payload[0].value == 1
 
 
 class TestPacketMetadata:

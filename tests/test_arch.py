@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import ADCPConfig, ADCPSwitch, RMTConfig, RMTSwitch, Telemetry
 from repro.arch.app import SwitchApp
 from repro.arch.decision import Decision, Verdict
 from repro.arch.port import TxPort
@@ -122,3 +123,52 @@ class TestSwitchAppBase:
     def test_invalid_elements_per_packet(self):
         with pytest.raises(ConfigError):
             SwitchApp("bad", elements_per_packet=0)
+
+
+def _one_slot_switch(target: str, telemetry):
+    """A switch whose egress TM holds one packet, and that TM's path."""
+    if target == "rmt":
+        config = RMTConfig(
+            num_ports=8,
+            pipelines=2,
+            port_speed_bps=100 * GBPS,
+            min_wire_packet_bytes=84.0,
+            frequency_hz=1.25e9,
+            tm_buffer_packets=1,
+        )
+        return RMTSwitch(config, None, telemetry=telemetry), "rmt.tm"
+    config = ADCPConfig(
+        num_ports=8,
+        port_speed_bps=100 * GBPS,
+        demux_factor=2,
+        central_pipelines=4,
+        tm_buffer_packets=1,
+    )
+    return ADCPSwitch(config, None, telemetry=telemetry), "adcp.tm2"
+
+
+class TestMulticastRejects:
+    """A multicast copy the full egress TM turns away is a dropped packet."""
+
+    @pytest.mark.parametrize("level", ["off", "full"])
+    @pytest.mark.parametrize("target", ["rmt", "adcp"])
+    def test_rejected_copies_are_dropped(self, target, level):
+        telemetry = Telemetry.at_level("full") if level == "full" else None
+        switch, tm = _one_slot_switch(target, telemetry)
+        packet = make_coflow_packet(1, 0, 0, [(1, 1)])
+        packet.meta.ingress_port = 0
+        packet.meta.egress_ports = (2, 5, 7)
+        result = switch.run([(0.0, packet)])
+        assert len(result.delivered) == 1
+        assert len(result.dropped) == 2 == result.counters[f"{tm}.drops"]
+        assert [p.meta.egress_port for p in result.dropped] == [5, 7]
+        reason = f"{tm.rsplit('.', 1)[1]}_buffer_full"
+        assert [p.meta.drop_reason for p in result.dropped] == [reason] * 2
+        if telemetry is not None:
+            ids = [p.packet_id for p in result.dropped]
+            events = list(telemetry.trace)
+            rejects = [e.packet_id for e in events if e.name == "tm.reject"]
+            drops = [e for e in events if e.name == "packet.dropped"]
+            assert rejects == ids
+            assert [e.packet_id for e in drops] == ids
+            assert [e.args["reason"] for e in drops] == [reason] * 2
