@@ -29,7 +29,7 @@ Sub-packages:
 - :mod:`repro.analytical` — Tables 2/3 and key-rate math.
 - :mod:`repro.feasibility` — area, power, floorplan, routing congestion.
 - :mod:`repro.apps` — the Table 1 applications.
-- :mod:`repro.telemetry` — structured tracing, metric snapshots, export.
+- :mod:`repro.telemetry` — structured tracing, resource monitoring, export.
 """
 
 from .adcp import ADCPConfig, ADCPSwitch

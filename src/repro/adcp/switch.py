@@ -86,7 +86,7 @@ class ADCPSwitch(BaseSwitch):
             array_width=width,
         )
         key_fn = (
-            app.placement_key if app is not None else self._default_key
+            app.placement_key if app is not None else SwitchApp.placement_key
         )
         if app is not None:
             app.bind_placement(config.central_pipelines)
@@ -120,14 +120,6 @@ class ADCPSwitch(BaseSwitch):
         )
 
     # --- topology helpers --------------------------------------------------------
-
-    @staticmethod
-    def _default_key(packet: Packet) -> int:
-        if packet.payload is not None and len(packet.payload) > 0:
-            return packet.payload.key_column[0]
-        if packet.has_header("coflow"):
-            return packet.header("coflow")["coflow_id"]
-        return 0
 
     def _pick_ingress_lane(self, port: int) -> int:
         lane = self._next_ingress_lane[port]

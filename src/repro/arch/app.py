@@ -133,11 +133,14 @@ class SwitchApp:
 
     # --- placement -----------------------------------------------------------------
 
-    def placement_key(self, packet: Packet) -> int:
+    @staticmethod
+    def placement_key(packet: Packet) -> int:
         """Key TM1 hashes/ranges to pick a central pipeline (section 3.1).
 
         Defaults to the first payload element's key, falling back to the
-        coflow id, so simple apps need not override it.
+        coflow id, so simple apps need not override it.  It reads only
+        the packet, so an ADCP switch without an app keys TM1 with it
+        too; an override may be a plain method.
         """
         if packet.payload is not None and len(packet.payload) > 0:
             return packet.payload.key_column[0]

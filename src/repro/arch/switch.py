@@ -196,7 +196,7 @@ class BaseSwitch(Component):
         self.spans = getattr(telemetry, "spans", None)
         # A recorder disabled at construction is never wired, so such a
         # hub emits nothing and costs the same as passing none
-        # (metrics/snapshots still work; re-enabling later has no effect
+        # (its monitor still samples; re-enabling later has no effect
         # on this switch).
         if telemetry.trace.enabled:
             trace = telemetry.trace

@@ -99,13 +99,6 @@ class FabricAggregateApp(SwitchApp):
                 partition = self.placement_policy.place(chunk_start)
                 self._expected[(coflow_id, partition)] += chunk_size
 
-    def placement_key(self, packet: Packet) -> int:
-        if packet.payload is not None and len(packet.payload) > 0:
-            return packet.payload.key_column[0]
-        if packet.has_header("coflow"):
-            return packet.header("coflow")["coflow_id"]
-        return 0
-
     # --- hooks --------------------------------------------------------------------
 
     def central(self, ctx: PipelineContext, packet: Packet, phv: PHV) -> Decision:

@@ -69,11 +69,7 @@ class EcmpSelector:
 
 
 class FlowletSelector:
-    """Flowlet switching: re-hash after an idle gap, sticky within one.
-
-    ``history`` records every (seq, port) pick per flow so tests can
-    assert the zero-intra-flowlet-reordering property directly.
-    """
+    """Flowlet switching: re-hash after an idle gap, sticky within one."""
 
     def __init__(self, gap_s: float, salt: int = 0) -> None:
         if gap_s <= 0:
@@ -82,7 +78,6 @@ class FlowletSelector:
         self.salt = salt
         self.flowlets_started = 0
         self._state: dict[FlowKey, tuple[float, int, int]] = {}
-        self.history: dict[FlowKey, list[tuple[int, int]]] = {}
 
     def choose(
         self, packet: Packet, candidates: tuple[int, ...], now_s: float
@@ -101,10 +96,6 @@ class FlowletSelector:
         else:
             flowlet, port = state[1], state[2]
         self._state[key] = (now_s, flowlet, port)
-        if packet.has_header("coflow"):
-            self.history.setdefault(key, []).append(
-                (packet.header("coflow")["seq"], port)
-            )
         return port
 
 

@@ -98,12 +98,16 @@ class Deparser:
         values = tuple(
             phv_values[n] for n in _element_names(value_array, value_len)
         )
-        if (
-            payload is not None
-            and _same_objects(keys, payload.key_column)
-            and _same_objects(values, payload.value_column)
-        ):
-            return payload
+        if payload is not None:
+            if len(payload) > key_len:
+                # A scalar parser lifted only the head of the array; the
+                # tail it never lifted passes through.
+                keys += payload.key_column[key_len:]
+                values += payload.value_column[key_len:]
+            if _same_objects(keys, payload.key_column) and _same_objects(
+                values, payload.value_column
+            ):
+                return payload
         return ElementArray.from_columns(keys, values, width)
 
 

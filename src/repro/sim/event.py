@@ -176,8 +176,8 @@ class Simulator:
         """Install ``probe`` on the clock, chaining after any existing one.
 
         The dispatch loop keeps its single ``time_probe is None`` check —
-        attaching several observers (metric snapshots plus a resource
-        monitor) costs the fast path nothing.  Probes fire
+        attaching several observers (a resource monitor per switch on
+        a shared fabric kernel) costs the fast path nothing.  Probes fire
         in installation order with the same new-time argument.
 
         Probes registered here are also tracked individually so the
@@ -218,7 +218,7 @@ class Simulator:
         ``new_time < deadline`` are no-ops, and that after a call with
         ``new_time >= deadline`` the reported deadline strictly exceeds
         that ``new_time``.  Grid samplers (ResourceMonitor,
-        PeriodicSampler, RollingWindowMonitor) satisfy this naturally.
+        RollingWindowMonitor) satisfy this naturally.
         """
         if self.time_probe is not self._probe_chain or not self._time_probes:
             return None

@@ -1,11 +1,11 @@
-"""Telemetry: structured tracing, metric snapshots, and timeline export.
+"""Telemetry: structured tracing, resource monitoring, and timeline export.
 
 An opt-in observability layer shared by both switch simulators.  Build a
 :class:`Telemetry` hub, hand it to a switch constructor, and after the run
-read the structured event stream (:class:`TraceRecorder`), the sampled
-metric time-series (:class:`MetricRegistry`), or export the whole run as a
-Chrome trace-event timeline (:func:`to_chrome_trace`) loadable in
-``chrome://tracing`` / Perfetto.
+read the structured event stream (:class:`TraceRecorder`), the resource
+time-series its :class:`ResourceMonitor` sampled on the simulation clock,
+or export the whole run as a Chrome trace-event timeline
+(:func:`to_chrome_trace`) loadable in ``chrome://tracing`` / Perfetto.
 
 When no hub is passed, every instrumentation site in the simulators
 reduces to a single ``is None`` check — runs without telemetry behave
@@ -60,13 +60,7 @@ from .spans import (
     span_overview_series,
     write_span_ledger,
 )
-from .metrics import MetricRegistry, MetricSnapshot, PeriodicSampler
-from .monitor import (
-    DEFAULT_INTERVAL_NS,
-    ResourceMonitor,
-    SeriesSummary,
-    merged_chrome_events,
-)
+from .monitor import DEFAULT_INTERVAL_NS, ResourceMonitor, SeriesSummary
 from .profiler import (
     BUCKETS,
     QUEUE_BUCKETS,
@@ -94,10 +88,7 @@ __all__ = [
     "LEDGER_SCHEMA",
     "LedgerDiff",
     "LittlesLawCheck",
-    "MetricRegistry",
-    "MetricSnapshot",
     "PacketProfile",
-    "PeriodicSampler",
     "QUEUE_BUCKETS",
     "ResourceMonitor",
     "RunProfile",
@@ -123,7 +114,6 @@ __all__ = [
     "coflow_critical_paths",
     "diff_ledgers",
     "load_ledger",
-    "merged_chrome_events",
     "monitor_littles_checks",
     "profile_chrome_events",
     "profile_run",

@@ -6,8 +6,9 @@ nanoseconds go"; this module answers the run-level questions on top:
 - **attribution table** — per-bucket totals, shares, and percentile
   spreads, mergeable across runs/switches via :meth:`Histogram.merge`;
 - **bottleneck report** — per-component utilization and queue-delay
-  share, a Little's-law cross-check of TM residency against the sampled
-  occupancy gauges, and a top-k "critical component" ranking;
+  share, a Little's-law cross-check of TM residency against the
+  resource monitor's sampled occupancy, and a top-k "critical
+  component" ranking;
 - **gap attribution** — which buckets explain the mean-latency gap
   between two runs (the Table 1 RMT-vs-ADCP question).
 """
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 
 from ..errors import SimulationError
 from ..sim.stats import Histogram
-from .metrics import MetricRegistry
 from .profiler import BUCKETS, QUEUE_BUCKETS, RunProfile
 from .recorder import TraceRecorder
 
@@ -130,11 +130,15 @@ class AttributionTable:
 class LittlesLawCheck:
     """L = λW cross-check for one traffic manager.
 
-    ``predicted_occupancy`` is λW from the trace (admission rate times
-    mean admit→release residency); ``observed_occupancy`` is the time
-    average of the TM's sampled occupancy gauge.  The two are computed
-    from independent instrumentation paths (event spans vs periodic
-    snapshots), so agreement validates both.
+    ``predicted_occupancy`` is λW from the trace: admission rate times
+    mean admit→release residency, on trace timestamps, which are model
+    times (admission at the upstream pipeline's exit, release at the
+    downstream pipeline's exit).  ``observed_occupancy`` is the time
+    average of the TM's sampled ``<tm>.occupancy`` series, a counter
+    that moves when the switch dispatches those admit and release calls
+    on the simulation clock.  Under heavy TM queueing the two clocks
+    part and the check reads inconsistent although both sides are right
+    (docs/MONITORING.md, "Cross-validation").
     """
 
     component: str
@@ -174,7 +178,6 @@ class BottleneckReport:
     duration_s: float
     critical: list[CriticalComponent] = field(default_factory=list)
     littles: list[LittlesLawCheck] = field(default_factory=list)
-    utilizations: dict[str, float] = field(default_factory=dict)
     queue_delay_share: float = 0.0
 
     def lines(self) -> list[str]:
@@ -263,35 +266,30 @@ def _tm_residencies(recorder: TraceRecorder) -> dict[str, list[float]]:
     return residencies
 
 
-def _observed_occupancy(metrics: MetricRegistry, component: str) -> float:
-    """Time-averaged occupancy of one TM from its sampled gauge."""
-    samples = [
-        value for _, value in metrics.timeseries(f"{component}.occupancy")
-    ]
-    if not samples:
-        return 0.0
-    return math.fsum(samples) / len(samples)
-
-
 def analyze_bottlenecks(
     profile: RunProfile,
     recorder: TraceRecorder,
-    metrics: MetricRegistry | None = None,
+    monitor=None,
     duration_s: float | None = None,
     top_k: int = 5,
     littles_tolerance: float = 2.0,
 ) -> BottleneckReport:
     """Build the bottleneck report for one profiled run.
 
-    ``littles_tolerance`` bounds the accepted observed/predicted
-    occupancy ratio; the observed side comes from periodic snapshots, so
-    it carries sampling noise proportional to the snapshot interval.
+    ``monitor`` is the run's
+    :class:`~repro.telemetry.monitor.ResourceMonitor`: a critical
+    component's utilization is the last sample of its
+    ``<component>.utilization`` series, and the Little's-law rows are
+    :func:`monitor_littles_checks` with ``littles_tolerance``.  Without
+    a monitor the report has neither.
     """
     if duration_s is None:
         duration_s = max(
             (p.end_s for p in profile.packets.values()), default=0.0
         )
     total = profile.total_latency_s
+    sampled = monitor is not None and len(monitor) > 0
+    monitored = set(monitor.names) if sampled else set()
 
     # Per-component attributed time and queueing time.
     instance_buckets = profile.instance_bucket_totals_s()
@@ -306,11 +304,13 @@ def analyze_bottlenecks(
             for bucket, seconds in buckets.items()
             if bucket in QUEUE_BUCKETS
         )
+        series = f"{component}.utilization"
         utilization = None
-        if metrics is not None:
-            name = f"{component}.utilization"
-            if name in metrics.gauge_names:
-                utilization = metrics.latest(name)
+        # A recirculation tile spans a whole loop pass (TM crossing,
+        # egress pass, loopback wire), so the same-named loopback port's
+        # utilization would misdescribe it.
+        if series in monitored and "recirculation" not in buckets:
+            utilization = monitor.column(series)[-1]
         critical.append(
             CriticalComponent(
                 component=component,
@@ -322,37 +322,17 @@ def analyze_bottlenecks(
         )
     critical.sort(key=lambda e: e.attributed_s, reverse=True)
 
-    # Little's law per TM.
     littles = []
-    if metrics is not None and duration_s > 0:
-        for component, residencies in sorted(_tm_residencies(recorder).items()):
-            if not residencies:
-                continue
-            rate = len(residencies) / duration_s
-            mean_residency = math.fsum(residencies) / len(residencies)
-            littles.append(
-                LittlesLawCheck(
-                    component=component,
-                    arrival_rate_pps=rate,
-                    mean_residency_s=mean_residency,
-                    predicted_occupancy=rate * mean_residency,
-                    observed_occupancy=_observed_occupancy(metrics, component),
-                    tolerance=littles_tolerance,
-                )
-            )
-
-    utilizations = {}
-    if metrics is not None:
-        for name in metrics.gauge_names:
-            if name.endswith(".utilization"):
-                utilizations[name[: -len(".utilization")]] = metrics.latest(name)
+    if monitor is not None:
+        littles = monitor_littles_checks(
+            recorder, monitor, duration_s, tolerance=littles_tolerance
+        )
 
     return BottleneckReport(
         label=profile.label,
         duration_s=duration_s,
         critical=critical[:top_k],
         littles=littles,
-        utilizations=utilizations,
         queue_delay_share=queue_total / total if total else 0.0,
     )
 
@@ -363,15 +343,15 @@ def monitor_littles_checks(
     duration_s: float,
     tolerance: float = 2.0,
 ) -> list[LittlesLawCheck]:
-    """Little's-law validation of the resource monitor's TM series.
+    """Little's-law checks of the resource monitor's TM series.
 
-    Same L = λW cross-check as :func:`analyze_bottlenecks`, but with the
-    observed side taken from the
-    :class:`~repro.telemetry.monitor.ResourceMonitor`'s sampled
-    ``<tm>.occupancy`` columns instead of the metric snapshots.  The two
-    sides come from fully independent instrumentation (event spans vs
-    clock-grid probes), so a mismatch here is how a mis-wired probe gets
-    caught.
+    One :class:`LittlesLawCheck` per TM that both admitted packets in
+    the trace and has a ``<tm>.occupancy`` series in the
+    :class:`~repro.telemetry.monitor.ResourceMonitor`; a monitor that
+    has not sampled yet reads zero occupancy.  The bottleneck report
+    reuses these rows.  The predicted side reads trace (model)
+    times and the observed side the dispatch clock, so the checks flag
+    heavy TM queueing as well as a mis-wired probe.
     """
     checks: list[LittlesLawCheck] = []
     if duration_s <= 0:
@@ -381,7 +361,7 @@ def monitor_littles_checks(
         series = f"{component}.occupancy"
         if not residencies or series not in names:
             continue
-        column = monitor.column(series)
+        column = monitor.column(series) if len(monitor) else []
         observed = math.fsum(column) / len(column) if column else 0.0
         rate = len(residencies) / duration_s
         mean_residency = math.fsum(residencies) / len(residencies)

@@ -7,7 +7,8 @@ load natively) maps cleanly onto switch telemetry:
   (``"ph": "X"``) slices with a duration;
 - instant events (recirculations, drops, TM admits) become ``"ph": "i"``
   instants;
-- metric snapshots become ``"ph": "C"`` counter tracks.
+- resource-monitor series become ``"ph": "C"`` counter tracks
+  (:meth:`~repro.telemetry.monitor.ResourceMonitor.chrome_counter_events`).
 
 Timestamps are microseconds (floats are allowed, which matters at the
 nanosecond scale these simulations run at).  The process id is the switch
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .events import TraceEvent
-from .metrics import MetricRegistry
+from .monitor import ResourceMonitor
 from .recorder import TraceRecorder
 
 _US_PER_S = 1e6
@@ -38,10 +39,9 @@ def _split_component(component: str) -> tuple[str, str]:
 
 def chrome_trace_events(
     events: Iterable[TraceEvent],
-    metrics: MetricRegistry | None = None,
     pid: str | None = None,
 ) -> list[dict]:
-    """Convert telemetry into a list of Chrome trace-event dicts.
+    """Convert trace events into a list of Chrome trace-event dicts.
 
     ``pid`` overrides the process label (useful when combining several
     switches into one timeline); by default each event's component root
@@ -70,34 +70,17 @@ def chrome_trace_events(
             entry["ph"] = "i"
             entry["s"] = "t"  # instant scoped to its thread lane
         out.append(entry)
-
-    if metrics is not None:
-        for snapshot in metrics.series:
-            for name in sorted(snapshot.values):
-                value = snapshot.values[name]
-                proc, _ = _split_component(name)
-                out.append(
-                    {
-                        "name": name,
-                        "cat": "metric",
-                        "ph": "C",
-                        "pid": pid or proc,
-                        "ts": snapshot.time_s * _US_PER_S,
-                        "args": {"value": value},
-                    }
-                )
     return out
 
 
 def to_chrome_trace(
     recorder: TraceRecorder,
-    metrics: MetricRegistry | None = None,
     pid: str | None = None,
 ) -> dict:
     """A complete Chrome trace document for one recorder."""
     return {
         "displayTimeUnit": "ns",
-        "traceEvents": chrome_trace_events(recorder, metrics, pid=pid),
+        "traceEvents": chrome_trace_events(recorder, pid=pid),
     }
 
 
@@ -123,10 +106,12 @@ def write_chrome_trace(
 
 def text_report(
     recorder: TraceRecorder,
-    metrics: MetricRegistry | None = None,
+    monitor: ResourceMonitor | None = None,
     title: str = "telemetry",
+    counters: dict[str, float] | None = None,
 ) -> list[str]:
-    """A human-readable run summary: event totals and sampled series."""
+    """A human-readable run summary: event totals, then the final value
+    of every counter and of every monitored series."""
     lines = [f"telemetry report — {title}"]
     lines.append(
         f"  events: {recorder.emitted} emitted, {len(recorder)} retained, "
@@ -134,12 +119,16 @@ def text_report(
     )
     for name, count in recorder.counts_by_name().items():
         lines.append(f"    {name:<28} {count:>8}")
-    if metrics is not None and metrics.series:
-        first, last = metrics.series[0], metrics.series[-1]
+    final = dict(counters or {})
+    if monitor is not None and len(monitor):
+        times = monitor.times_s
         lines.append(
-            f"  snapshots: {len(metrics.series)} "
-            f"({first.time_s * 1e9:.0f}..{last.time_s * 1e9:.0f} ns)"
+            f"  samples: {len(monitor)} "
+            f"({times[0] * 1e9:.0f}..{times[-1] * 1e9:.0f} ns)"
         )
-        for name in sorted(last.values):
-            lines.append(f"    {name:<40} {last.values[name]:>12g}")
+        final.update(
+            (name, monitor.column(name)[-1]) for name in monitor.names
+        )
+    for name in sorted(final):
+        lines.append(f"    {name:<40} {final[name]:>12g}")
     return lines

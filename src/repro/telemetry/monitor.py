@@ -32,17 +32,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import fsum, inf
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..errors import ConfigError
 
 ProbeFn = Callable[[float], float]
 """A probe: ``fn(now_s) -> value`` evaluated at each sample instant."""
 
-#: Default sampling spacing (simulated nanoseconds).  Matches the CLI
-#: metric-snapshot interval: fine enough to catch TM occupancy between
-#: packet admit and release on the reference workloads, coarse enough
-#: that sampling stays a rounding error next to event dispatch.
+#: Default sampling spacing (simulated nanoseconds), also the grid of
+#: every ``trace``/``profile`` hub: fine enough to catch TM occupancy
+#: between packet admit and release on the reference workloads, coarse
+#: enough that sampling stays a rounding error next to event dispatch.
 DEFAULT_INTERVAL_NS = 50.0
 
 _NS_PER_S = 1e9
@@ -281,7 +281,7 @@ class ResourceMonitor:
 
     def chrome_counter_events(self, pid: str | None = None) -> list[dict]:
         """The series as Chrome trace-event counter (``"ph": "C"``)
-        tracks, mergeable into the PR 1 timeline export."""
+        tracks, mergeable into the trace-event timeline export."""
         out: list[dict] = []
         for row, time_s in enumerate(self.times_s):
             for name in self._names:
@@ -297,13 +297,3 @@ class ResourceMonitor:
                     }
                 )
         return out
-
-
-def merged_chrome_events(
-    monitors: Iterable[tuple[str, "ResourceMonitor"]],
-) -> list[dict]:
-    """Counter events of several labelled monitors in one timeline."""
-    events: list[dict] = []
-    for label, monitor in monitors:
-        events.extend(monitor.chrome_counter_events(pid=label))
-    return events

@@ -16,14 +16,12 @@ from ..errors import ConfigError, SimulationError
 from ..units import GBPS
 from .events import Category
 from .exporters import chrome_trace_events, text_report, write_chrome_trace
+from .monitor import DEFAULT_INTERVAL_NS, ResourceMonitor
 from .session import Telemetry
 
 #: Ring depth for CLI traces: large enough that the reference workloads
 #: never wrap, so the consistency checks can be exact.
 _CLI_CAPACITY = 1 << 20
-
-#: Metric-snapshot spacing for CLI traces (simulated time).
-_CLI_SNAPSHOT_INTERVAL_S = 5e-8
 
 
 @dataclass
@@ -80,7 +78,7 @@ class TraceRun:
                     "events_emitted": s.telemetry.trace.emitted,
                     "events_retained": len(s.telemetry.trace),
                     "events_by_name": s.telemetry.trace.counts_by_name(),
-                    "snapshots": len(s.telemetry.metrics.series),
+                    "snapshots": len(s.telemetry.monitor),
                     "delivered": len(s.result.delivered),
                     "recirculated": s.result.recirculated_packets,
                     "duration_s": s.result.duration_s,
@@ -100,18 +98,27 @@ class TraceRun:
         return out
 
 
-def _make_telemetry() -> Telemetry:
+def _make_telemetry(interval_ns: float = DEFAULT_INTERVAL_NS) -> Telemetry:
     return Telemetry(
-        capacity=_CLI_CAPACITY,
-        snapshot_interval_s=_CLI_SNAPSHOT_INTERVAL_S,
+        capacity=_CLI_CAPACITY, monitor=ResourceMonitor(interval_ns)
     )
+
+
+def _section_chrome_events(section) -> list[dict]:
+    """One section's trace events plus its monitor's counter tracks,
+    both under the section label."""
+    telemetry = section.telemetry
+    events = chrome_trace_events(telemetry.trace, pid=section.label)
+    events.extend(telemetry.monitor.chrome_counter_events(pid=section.label))
+    return events
 
 
 # --- workloads ---------------------------------------------------------------------
 #
 # Each workload factory accepts an optional ``make_telemetry`` so callers
-# can swap the hub configuration (``run_monitor`` passes one carrying a
-# ResourceMonitor) without the factories knowing what changed, plus an
+# can swap the hub configuration (``run_monitor`` passes one whose
+# monitor samples at ``--interval``) without the factories knowing what
+# changed, plus an
 # explicit ``seed``: all randomness flows through ``sim/rng`` from that
 # one number (workloads with no stochastic generator accept it for
 # interface uniformity — campaign sweeps pass seeds unconditionally).
@@ -360,13 +367,7 @@ class ProfileRun:
 
         events: list[dict] = []
         for section in self.sections:
-            events.extend(
-                chrome_trace_events(
-                    section.telemetry.trace,
-                    section.telemetry.metrics,
-                    pid=section.label,
-                )
-            )
+            events.extend(_section_chrome_events(section))
             events.extend(profile_chrome_events(section.profile))
         return events
 
@@ -412,7 +413,7 @@ def run_profile(
         report = analyze_bottlenecks(
             profile,
             trace_section.telemetry.trace,
-            trace_section.telemetry.metrics,
+            trace_section.telemetry.monitor,
             duration_s=trace_section.result.duration_s,
         )
         sections.append(
@@ -503,13 +504,7 @@ def run_trace(
 
     events: list[dict] = []
     for section in sections:
-        events.extend(
-            chrome_trace_events(
-                section.telemetry.trace,
-                section.telemetry.metrics,
-                pid=section.label,
-            )
-        )
+        events.extend(_section_chrome_events(section))
     if spans is not None:
         from .spans import span_chrome_events
 
@@ -530,8 +525,9 @@ def run_trace(
         run.lines.extend(
             text_report(
                 section.telemetry.trace,
-                section.telemetry.metrics,
+                section.telemetry.monitor,
                 title=section.label,
+                counters=section.result.counters,
             )
         )
         run.lines.append(
@@ -606,15 +602,15 @@ def run_monitor(
     The ledger (default ``ledger_<workload>.json``) embeds per-section
     series summaries, the latency-attribution table, and the Little's-law
     cross-check of each TM's sampled occupancy against λW from the trace
-    (informational, same posture as the bottleneck report: grid sampling
-    undersamples very short bursty runs, so the flag only means much on
-    steadier workloads).  ``csv_out`` additionally dumps the full
-    columnar time-series; ``chrome_out`` writes the telemetry timeline
-    with the monitor's counter tracks merged in.
+    (informational, same posture as the bottleneck report: the two sides
+    read different clocks, so heavy TM queueing flags a mismatch; see
+    :class:`~repro.telemetry.attribution.LittlesLawCheck`).  ``csv_out``
+    additionally dumps the full columnar time-series; ``chrome_out``
+    writes the telemetry timeline with the monitor's counter tracks
+    merged in.
     """
     from .attribution import AttributionTable, monitor_littles_checks
     from .ledger import build_ledger, write_ledger
-    from .monitor import DEFAULT_INTERVAL_NS, ResourceMonitor
     from .profiler import profile_run as _profile_run
 
     if workload not in TRACEABLE:
@@ -625,16 +621,9 @@ def run_monitor(
     if interval_ns is None:
         interval_ns = DEFAULT_INTERVAL_NS
 
-    def make_telemetry() -> Telemetry:
-        return Telemetry(
-            capacity=_CLI_CAPACITY,
-            snapshot_interval_s=_CLI_SNAPSHOT_INTERVAL_S,
-            monitor=ResourceMonitor(interval_ns=interval_ns),
-        )
-
     sections: list[MonitorSection] = []
     for trace_section in TRACEABLE[workload](
-        make_telemetry=make_telemetry, seed=seed
+        make_telemetry=lambda: _make_telemetry(interval_ns), seed=seed
     ):
         monitor = trace_section.telemetry.monitor
         profile = _profile_run(
@@ -660,10 +649,7 @@ def run_monitor(
     ledger = build_ledger(
         workload=workload,
         interval_ns=interval_ns,
-        config={
-            "trace_capacity": _CLI_CAPACITY,
-            "snapshot_interval_s": _CLI_SNAPSHOT_INTERVAL_S,
-        },
+        config={"trace_capacity": _CLI_CAPACITY},
         sections=[
             {
                 "label": s.label,
@@ -735,16 +721,7 @@ def run_monitor(
     if chrome_out is not None:
         events: list[dict] = []
         for section in sections:
-            events.extend(
-                chrome_trace_events(
-                    section.telemetry.trace,
-                    section.telemetry.metrics,
-                    pid=section.label,
-                )
-            )
-            events.extend(
-                section.monitor.chrome_counter_events(pid=section.label)
-            )
+            events.extend(_section_chrome_events(section))
         run.chrome_path = write_chrome_trace(chrome_out, events)
         run.lines.append(
             f"  chrome trace with monitor counters -> {run.chrome_path}"

@@ -3,23 +3,29 @@
 Usage::
 
     from repro import ADCPConfig, ADCPSwitch, Telemetry
+    from repro.telemetry import ResourceMonitor
 
-    telemetry = Telemetry(snapshot_interval_s=5e-8)
+    telemetry = Telemetry(monitor=ResourceMonitor())   # samples every 50 ns
     switch = ADCPSwitch(ADCPConfig(num_ports=8), app, telemetry=telemetry)
     result = switch.run(app.workload(...))
 
     telemetry.trace.count(name="packet.delivered")   # == len(result.delivered)
-    telemetry.metrics.timeseries("adcp.tm1.occupancy")
-    write_chrome_trace("trace.json", to_chrome_trace(telemetry.trace,
-                                                     telemetry.metrics))
+    telemetry.monitor.series("adcp.tm1.occupancy")
+    write_chrome_trace(
+        "trace.json",
+        chrome_trace_events(telemetry.trace)
+        + telemetry.monitor.chrome_counter_events(),
+    )
 
-A hub serves **one** switch: binding it registers derived gauges over that
-switch's components and installs the snapshot sampler on that switch's
-event kernel.  Build one hub per switch when tracing several.
+A hub is a trace recorder plus an optional
+:class:`~repro.telemetry.monitor.ResourceMonitor` and optional sampled
+spans.  It serves **one** switch: binding it attaches the monitor to
+that switch's components and event kernel.  Build one hub per switch
+when tracing several.
 
 Disabling the recorder (``telemetry.trace.disable()``) *before* building
 the switch skips trace wiring entirely — the switch emits nothing, as one
-built with no hub, while metric snapshots keep working.  Toggling the
+built with no hub, while the monitor keeps sampling.  Toggling the
 recorder after construction only affects a switch that was built with
 tracing enabled.  Wired or not, the recorder never changes which code a
 run takes (docs/DESIGN.md rule 3).
@@ -31,22 +37,18 @@ from typing import Iterable
 
 from ..errors import ConfigError
 from .events import Category, Severity
-from .metrics import MetricRegistry, PeriodicSampler
 from .monitor import ResourceMonitor
 from .recorder import TraceRecorder
 from .sampler import SpanSampler, TelemetryLevel
 
 
 class Telemetry:
-    """Recorder + metrics + sampling policy for one switch.
+    """Recorder + optional monitor + optional spans for one switch.
 
     Args:
         capacity: Trace ring-buffer depth.
         categories: Trace categories to record (None = default set).
         min_severity: Minimum recorded severity.
-        snapshot_interval_s: Simulated-time spacing of metric snapshots;
-            None disables periodic sampling (a final snapshot is still
-            taken when the run finishes).
         monitor: Optional :class:`~repro.telemetry.monitor.ResourceMonitor`
             to attach at bind time: it collects every component's
             ``monitor_probes()`` and samples them on the simulation clock.
@@ -62,21 +64,14 @@ class Telemetry:
         capacity: int = 65536,
         categories: Iterable[Category] | None = None,
         min_severity: Severity = Severity.DEBUG,
-        snapshot_interval_s: float | None = None,
         monitor: ResourceMonitor | None = None,
         spans=None,
     ) -> None:
-        if snapshot_interval_s is not None and snapshot_interval_s <= 0:
-            raise ConfigError(
-                f"snapshot interval must be positive, got {snapshot_interval_s}"
-            )
         self.trace = TraceRecorder(
             capacity=capacity,
             categories=categories,
             min_severity=min_severity,
         )
-        self.metrics = MetricRegistry()
-        self.snapshot_interval_s = snapshot_interval_s
         self.monitor = monitor
         self.spans = spans
         self._switch = None
@@ -125,55 +120,19 @@ class Telemetry:
     def bind(self, switch) -> None:
         """Attach this hub to a switch (called by the switch constructor).
 
-        Registers derived gauges — per-pipeline utilization, TM occupancy,
-        TM1 merge depth when the switch has a merge front-end — and hooks
-        the periodic sampler into the switch's event kernel.
+        Attaches the monitor, when the hub carries one, to the switch's
+        components and event kernel.
         """
-        from ..rmt.pipeline import Pipeline
-        from ..rmt.traffic_manager import TrafficManager
-
         if self._switch is not None and self._switch is not switch:
             raise ConfigError(
                 "a Telemetry hub serves one switch; build one hub per switch"
             )
         self._switch = switch
-        self.metrics.bind_stats(switch.stats)
-
-        for component in switch.walk():
-            if isinstance(component, Pipeline):
-                self.metrics.gauge(
-                    f"{component.path}.utilization",
-                    lambda now, p=component: (
-                        min(1.0, p.busy_seconds / now) if now > 0 else 0.0
-                    ),
-                )
-            elif isinstance(component, TrafficManager):
-                self.metrics.gauge(
-                    f"{component.path}.occupancy",
-                    lambda now, tm=component: float(tm.occupancy),
-                )
-                self.metrics.gauge(
-                    f"{component.path}.peak_occupancy",
-                    lambda now, tm=component: float(tm.peak_occupancy),
-                )
-
-        merge = getattr(switch, "_merge", None)
-        if merge is not None:
-            self.metrics.gauge(
-                f"{switch.tm1.path}.merge_depth",
-                lambda now, m=merge: float(m.pending()),
-            )
-
-        if self.snapshot_interval_s is not None:
-            switch._sim.add_time_probe(
-                PeriodicSampler(self.metrics, self.snapshot_interval_s)
-            )
         if self.monitor is not None:
             self.monitor.attach(switch)
 
     def finish(self, now_s: float) -> None:
-        """Take the end-of-run snapshot (called by the switch's ``run``)."""
-        self.metrics.sample(now_s)
+        """Take the monitor's end-of-run sample (called by the switch)."""
         if self.monitor is not None:
             self.monitor.finish(now_s)
 

@@ -67,6 +67,25 @@ class TestDeparser:
         assert rebuilt.payload is not None
         assert rebuilt.payload.keys() == [5]
 
+    def test_scalar_parser_keeps_unlifted_elements(self):
+        """A scalar (RMT) parser lifts only element 0; the elements it
+        never lifted pass through the deparse, header writes or not."""
+        packet = make_coflow_packet(1, 1, 0, [(1, 10), (2, 20), (3, 30)])
+        result = _parse(packet, array_capable=False)
+        result.phv["ipv4.ttl"] = 63
+        rebuilt = Deparser().deparse(result.phv, packet)
+        assert rebuilt.header("ipv4")["ttl"] == 63
+        assert rebuilt.payload is packet.payload  # left alone: shared
+        assert rebuilt.header("coflow")["element_count"] == 3
+
+        result = _parse(packet, array_capable=False)
+        result.phv["elems.value[0]"] = 99
+        rebuilt = Deparser().deparse(result.phv, packet)
+        assert rebuilt.payload.keys() == [1, 2, 3]
+        assert rebuilt.payload.values() == [99, 20, 30]
+        assert rebuilt.header("coflow")["element_count"] == 3
+        assert packet.payload.values() == [10, 20, 30]
+
     def test_metadata_carried_over(self):
         packet = make_coflow_packet(1, 1, 0, [(1, 1)])
         packet.meta.egress_port = 9

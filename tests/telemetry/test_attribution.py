@@ -26,10 +26,12 @@ from repro.telemetry import (
     AttributionTable,
     BUCKETS,
     LittlesLawCheck,
+    ResourceMonitor,
     RunProfile,
     Telemetry,
     analyze_bottlenecks,
     attribution_gap,
+    monitor_littles_checks,
     profile_run,
 )
 from repro.telemetry.runner import run_profile
@@ -81,31 +83,65 @@ class TestTable1Gap:
         assert report.queue_delay_share > 0.5
 
 
+def _small_adcp_report(monitor):
+    """The bottleneck report of a small ADCP run, with or without a
+    monitor on its hub."""
+    telemetry = Telemetry(capacity=1 << 20, monitor=monitor)
+    config = ADCPConfig(
+        num_ports=4, port_speed_bps=100 * GBPS, demux_factor=2,
+        central_pipelines=2,
+    )
+    app = ParameterServerApp([0, 1, 2, 3], 64, elements_per_packet=16)
+    switch = ADCPSwitch(config, app, telemetry=telemetry)
+    result = switch.run(app.workload(config.port_speed_bps))
+    profile = profile_run(telemetry.trace, label="adcp-small")
+    return analyze_bottlenecks(
+        profile, telemetry.trace, monitor, duration_s=result.duration_s
+    )
+
+
 class TestSmallADCPCentralBank:
     def test_top_component_is_a_central_lane(self):
         """On a small ADCP config the slow central bank tops the ranking
         (the EXPERIMENTS.md Table-1 nuance: tiny configs pay for the
         central crossing)."""
-        telemetry = Telemetry(capacity=1 << 20, snapshot_interval_s=5e-8)
-        config = ADCPConfig(
-            num_ports=4, port_speed_bps=100 * GBPS, demux_factor=2,
-            central_pipelines=2,
-        )
-        app = ParameterServerApp([0, 1, 2, 3], 64, elements_per_packet=16)
-        switch = ADCPSwitch(config, app, telemetry=telemetry)
-        result = switch.run(app.workload(config.port_speed_bps))
-        profile = profile_run(telemetry.trace, label="adcp-small")
-        report = analyze_bottlenecks(
-            profile, telemetry.trace, telemetry.metrics,
-            duration_s=result.duration_s,
-        )
-        assert report.critical[0].component.startswith("adcp.central")
-        # The lane's utilization gauge rode along into the ranking entry.
-        assert report.critical[0].utilization is not None
-        assert report.critical[0].utilization > 0.0
+        monitor = ResourceMonitor()
+        report = _small_adcp_report(monitor)
+        top = report.critical[0]
+        assert top.component.startswith("adcp.central")
+        # The lane's last monitored utilization rode along into the
+        # ranking entry.
+        series = monitor.column(f"{top.component}.utilization")
+        assert top.utilization == series[-1]
+        assert top.utilization > 0.0
+
+    def test_without_monitor_report_has_no_utilization_or_littles(self):
+        report = _small_adcp_report(None)
+        assert report.critical
+        assert all(entry.utilization is None for entry in report.critical)
+        assert report.littles == []
 
 
 class TestLittlesLaw:
+    def test_report_rows_are_the_monitor_checks(self, recirculate):
+        """One Little's-law loop: the report's rows are exactly
+        :func:`monitor_littles_checks` over the section's monitor."""
+        section = _section(recirculate, "rmt-recirculate")
+        assert section.report.littles == monitor_littles_checks(
+            section.telemetry.trace,
+            section.telemetry.monitor,
+            section.result.duration_s,
+        )
+
+    def test_recirculation_tiles_carry_no_utilization(self, recirculate):
+        """A recirculation tile spans a whole loop pass, so it does not
+        borrow its loopback port's utilization; pipelines keep theirs."""
+        report = _section(recirculate, "rmt-recirculate").report
+        loops = [e for e in report.critical if ".recirc" in e.component]
+        assert loops
+        assert all(entry.utilization is None for entry in loops)
+        assert any(entry.utilization is not None for entry in report.critical)
+
     def test_recirculate_tm_is_consistent(self, recirculate):
         report = _section(recirculate, "rmt-recirculate").report
         checks = {c.component: c for c in report.littles}

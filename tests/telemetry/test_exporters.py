@@ -6,10 +6,9 @@ import json
 
 import pytest
 
-from repro.sim.stats import StatsRegistry
 from repro.telemetry import (
     Category,
-    MetricRegistry,
+    ResourceMonitor,
     TraceRecorder,
     chrome_trace_events,
     text_report,
@@ -61,18 +60,22 @@ class TestChromeTrace:
         events = chrome_trace_events(_recorder(), pid="combined")
         assert {e["pid"] for e in events} == {"combined"}
 
-    def test_counter_tracks_from_metrics(self):
-        stats = StatsRegistry()
-        stats.counter("rmt.delivered").add(3)
-        metrics = MetricRegistry(stats)
-        metrics.sample(1e-9)
-        counters = [
-            e
-            for e in chrome_trace_events(TraceRecorder(), metrics)
-            if e["ph"] == "C"
-        ]
+    def test_counter_tracks_from_metrics(self, tmp_path):
+        """Sampled metrics reach the trace file as the monitor's counter
+        tracks, beside the recorder's events."""
+        monitor = ResourceMonitor()
+        monitor.probe("rmt.tm.occupancy", lambda now_s: 3.0)
+        monitor.sample(1e-9)
+        events = chrome_trace_events(_recorder())
+        events.extend(monitor.chrome_counter_events())
+        path = write_chrome_trace(tmp_path / "t.json", events)
+        loaded = json.loads(path.read_text())["traceEvents"]
+        counters = [e for e in loaded if e["ph"] == "C"]
+        assert len(loaded) == 3
         assert len(counters) == 1
-        assert counters[0]["name"] == "rmt.delivered"
+        assert counters[0]["name"] == "rmt.tm.occupancy"
+        assert counters[0]["pid"] == "rmt"
+        assert counters[0]["ts"] == pytest.approx(1e-3)  # 1 ns in µs
         assert counters[0]["args"]["value"] == 3.0
 
     def test_document_envelope(self):
@@ -103,9 +106,17 @@ class TestTextReport:
         assert "2 emitted" in text
 
     def test_report_includes_latest_snapshot(self):
-        metrics = MetricRegistry(StatsRegistry())
-        metrics.gauge("sw.occupancy", lambda now: 4.0)
-        metrics.sample(1e-9)
-        text = "\n".join(text_report(TraceRecorder(), metrics))
-        assert "snapshots: 1" in text
-        assert "sw.occupancy" in text
+        """The report ends with the final value of every counter and of
+        every monitored series."""
+        monitor = ResourceMonitor()
+        monitor.probe("sw.occupancy", lambda now_s: 4.0)
+        monitor.sample(1e-9)
+        monitor.sample(2e-9)
+        lines = text_report(
+            TraceRecorder(), monitor, counters={"sw.delivered": 3.0}
+        )
+        assert "  samples: 2 (1..2 ns)" in lines
+        assert lines[-2:] == [
+            f"    {'sw.delivered':<40} {3.0:>12g}",
+            f"    {'sw.occupancy':<40} {4.0:>12g}",
+        ]

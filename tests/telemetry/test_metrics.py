@@ -1,107 +1,107 @@
-"""Tests for metric snapshots and gauges (repro.telemetry.metrics)."""
+"""Tests for a run's sampled metrics: the resource monitor's clock-grid
+series and the stats counters reported beside them."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.apps import ParameterServerApp
 from repro.errors import ConfigError
-from repro.sim.stats import StatsRegistry
-from repro.telemetry import MetricRegistry, PeriodicSampler
+from repro.rmt.switch import RMTSwitch
+from repro.telemetry import (
+    Category,
+    ResourceMonitor,
+    Telemetry,
+    TraceRecorder,
+    monitor_littles_checks,
+    text_report,
+)
 
 
 class TestSampling:
-    def test_snapshot_includes_counters_and_gauges(self):
-        stats = StatsRegistry()
-        stats.counter("sw.delivered").add(5)
-        metrics = MetricRegistry(stats)
-        metrics.gauge("sw.occupancy", lambda now: 7.0)
-        snapshot = metrics.sample(1.5)
-        assert snapshot.time_s == 1.5
-        assert snapshot.value("sw.delivered") == 5.0
-        assert snapshot.value("sw.occupancy") == 7.0
+    def test_snapshot_includes_counters_and_gauges(self, small_rmt_config):
+        """The end-of-run report lists every stats counter and every
+        monitored series, each at its value when the run ended."""
+        monitor = ResourceMonitor()
+        telemetry = Telemetry(monitor=monitor)
+        app = ParameterServerApp([0, 1, 4, 5], 16, elements_per_packet=1)
+        switch = RMTSwitch(small_rmt_config, app, telemetry=telemetry)
+        result = switch.run(app.workload(small_rmt_config.port_speed_bps))
+        assert monitor.times_s[-1] == result.duration_s
+        assert result.counters and monitor.names
+        final = dict(result.counters)
+        final.update(
+            (name, monitor.column(name)[-1]) for name in monitor.names
+        )
+        lines = text_report(telemetry.trace, monitor, counters=result.counters)
+        reported = {
+            name: float(value)
+            for name, value in (line.split() for line in lines[-len(final):])
+        }
+        assert reported == pytest.approx(final, rel=1e-5)
 
     def test_series_accumulates(self):
-        metrics = MetricRegistry(StatsRegistry())
-        metrics.sample(1.0)
-        metrics.sample(2.0)
-        assert [s.time_s for s in metrics] == [1.0, 2.0]
-        assert len(metrics) == 2
+        monitor = ResourceMonitor()
+        monitor.probe("x", lambda now_s: 1.0)
+        monitor.sample(1.0)
+        monitor.sample(2.0)
+        assert monitor.times_s == [1.0, 2.0]
+        assert len(monitor) == 2
+        assert monitor.column("x") == [1.0, 1.0]
 
     def test_gauge_sees_sample_time(self):
-        metrics = MetricRegistry()
-        metrics.gauge("g", lambda now: now * 2)
-        metrics.sample(3.0)
-        assert metrics.latest("g") == 6.0
-
-    def test_bind_stats_late(self):
-        metrics = MetricRegistry()
-        assert metrics.sample(0.0).values == {}
-        stats = StatsRegistry()
-        stats.counter("c").add(1)
-        metrics.bind_stats(stats)
-        assert metrics.sample(1.0).value("c") == 1.0
+        monitor = ResourceMonitor()
+        monitor.probe("g", lambda now_s: now_s * 2)
+        monitor.sample(3.0)
+        assert monitor.column("g")[-1] == 6.0
 
     def test_empty_gauge_name_rejected(self):
-        with pytest.raises(ConfigError):
-            MetricRegistry().gauge("", lambda now: 0.0)
+        monitor = ResourceMonitor()
+        with pytest.raises(ConfigError, match="non-empty"):
+            monitor.probe("", lambda now_s: 0.0)
+        assert monitor.names == []
 
 
 class TestQueries:
-    def _registry(self):
-        stats = StatsRegistry()
-        stats.counter("adcp.tm1.admitted").add(3)
-        stats.counter("adcp.tm2.admitted").add(4)
-        metrics = MetricRegistry(stats)
-        metrics.gauge("adcp.tm1.occupancy", lambda now: 2.0)
-        return metrics
+    def _monitor(self) -> ResourceMonitor:
+        monitor = ResourceMonitor()
+        monitor.probe("adcp.tm1.occupancy", lambda now_s: 2.0)
+        monitor.probe("adcp.tm2.occupancy", lambda now_s: now_s)
+        return monitor
 
     def test_timeseries(self):
-        metrics = self._registry()
-        metrics.sample(1.0)
-        metrics.sample(2.0)
-        assert metrics.timeseries("adcp.tm1.admitted") == [
-            (1.0, 3.0),
-            (2.0, 3.0),
-        ]
-
-    def test_names_prefix(self):
-        metrics = self._registry()
-        assert metrics.names("adcp.tm1") == [
-            "adcp.tm1.admitted",
-            "adcp.tm1.occupancy",
-        ]
-
-    def test_rollup_counters_only(self):
-        metrics = self._registry()
-        assert metrics.rollup("adcp.tm") == 7.0
-
-    def test_rollup_with_gauges(self):
-        metrics = self._registry()
-        assert metrics.rollup("adcp.tm1", now_s=1.0) == 5.0
+        monitor = self._monitor()
+        monitor.sample(1.0)
+        monitor.sample(2.0)
+        assert monitor.series("adcp.tm1.occupancy") == [(1.0, 2.0), (2.0, 2.0)]
+        assert monitor.series("adcp.tm2.occupancy") == [(1.0, 1.0), (2.0, 2.0)]
 
     def test_latest_unknown_is_zero(self):
-        assert MetricRegistry().latest("missing") == 0.0
-
-    def test_snapshot_matching(self):
-        metrics = self._registry()
-        snapshot = metrics.sample(1.0)
-        assert set(snapshot.matching("adcp.tm1")) == {
-            "adcp.tm1.admitted",
-            "adcp.tm1.occupancy",
-        }
+        """A TM series the monitor has not sampled yet reads zero
+        observed occupancy in the Little's-law check."""
+        recorder = TraceRecorder()
+        for name, time_s in (("tm.admit", 1e-9), ("tm.release", 3e-9)):
+            recorder.emit(
+                Category.TM, name, time_s, component="adcp.tm1", packet_id=1
+            )
+        monitor = self._monitor()
+        (check,) = monitor_littles_checks(recorder, monitor, duration_s=4e-9)
+        assert check.component == "adcp.tm1"
+        assert check.observed_occupancy == 0.0
+        assert check.predicted_occupancy == pytest.approx(0.5)
 
 
 class TestPeriodicSampler:
     def test_samples_on_regular_grid(self):
-        metrics = MetricRegistry()
-        sampler = PeriodicSampler(metrics, interval_s=1.0)
-        sampler(0.5)  # not yet
-        assert len(metrics.series) == 0
-        sampler(2.7)  # crosses 1.0 and 2.0
-        assert [s.time_s for s in metrics.series] == [1.0, 2.0]
-        sampler(3.0)  # exactly on the boundary
-        assert [s.time_s for s in metrics.series] == [1.0, 2.0, 3.0]
+        monitor = ResourceMonitor(interval_ns=1e9)  # a 1 s grid
+        monitor(0.5)  # not yet
+        assert len(monitor) == 0
+        monitor(2.7)  # crosses 1.0 and 2.0
+        assert monitor.times_s == [1.0, 2.0]
+        monitor(3.0)  # exactly on the boundary
+        assert monitor.times_s == [1.0, 2.0, 3.0]
+        assert monitor.next_deadline_s() == 4.0
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ConfigError):
-            PeriodicSampler(MetricRegistry(), interval_s=0.0)
+            ResourceMonitor(interval_ns=-50.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -16,7 +17,6 @@ from repro.sim.event import Simulator
 from repro.telemetry import (
     ResourceMonitor,
     Telemetry,
-    merged_chrome_events,
     monitor_littles_checks,
 )
 from repro.telemetry.runner import run_monitor
@@ -241,8 +241,26 @@ class TestExports:
 
     def test_chrome_counter_events_merge(self, small_rmt_config):
         monitor, _, _ = _monitored_rmt(small_rmt_config)
-        events = merged_chrome_events([("rmt", monitor)])
+        events = monitor.chrome_counter_events(pid="rmt")
         assert events
         assert all(e["ph"] == "C" for e in events)
         assert all(e["pid"] == "rmt" for e in events)
         assert len(events) == len(monitor) * len(monitor.names)
+
+    def test_monitor_chrome_writes_each_counter_track_once(self, tmp_path):
+        """``monitor --chrome`` holds one counter event per series,
+        sample and section: the hub runs one clock-grid sampler."""
+        run = run_monitor(
+            "mergejoin",
+            ledger_out=tmp_path / "ledger.json",
+            chrome_out=tmp_path / "trace.json",
+        )
+        doc = json.loads(run.chrome_path.read_text())
+        keys = [
+            (e["pid"], e["name"], e["ts"])
+            for e in doc["traceEvents"]
+            if e["ph"] == "C"
+        ]
+        assert len(keys) == len(set(keys))
+        (section,) = run.sections
+        assert len(keys) == len(section.monitor) * len(section.monitor.names)

@@ -30,7 +30,7 @@ WORKERS = [0, 1, 4, 5]
 
 
 def _profiled_rmt(config, params=64):
-    telemetry = Telemetry(capacity=1 << 20, snapshot_interval_s=5e-8)
+    telemetry = Telemetry(capacity=1 << 20)
     app = ParameterServerApp(WORKERS, params, elements_per_packet=1)
     switch = RMTSwitch(config, app, telemetry=telemetry)
     result = switch.run(app.workload(config.port_speed_bps))
@@ -38,7 +38,7 @@ def _profiled_rmt(config, params=64):
 
 
 def _profiled_adcp(config, params=64):
-    telemetry = Telemetry(capacity=1 << 20, snapshot_interval_s=5e-8)
+    telemetry = Telemetry(capacity=1 << 20)
     app = ParameterServerApp(WORKERS, params, elements_per_packet=16)
     switch = ADCPSwitch(config, app, telemetry=telemetry)
     result = switch.run(app.workload(config.port_speed_bps))

@@ -10,7 +10,7 @@ from repro.adcp.switch import ADCPSwitch
 from repro.apps import ParameterServerApp, SortMergeJoinApp
 from repro.errors import ConfigError
 from repro.rmt.switch import RMTSwitch
-from repro.telemetry import Category, Telemetry
+from repro.telemetry import Category, ResourceMonitor, Telemetry
 
 
 def _run_rmt(config, telemetry=None):
@@ -45,37 +45,48 @@ class TestBinding:
             RMTSwitch(small_rmt_config, telemetry=telemetry)
 
     def test_gauges_registered_per_component(self, small_adcp_config):
-        telemetry = Telemetry()
+        """Binding attaches the hub's monitor, which collects every
+        component's probes."""
+        telemetry = Telemetry(monitor=ResourceMonitor())
         switch = ADCPSwitch(small_adcp_config, telemetry=telemetry)
-        names = telemetry.metrics.gauge_names
+        names = telemetry.monitor.names
         assert f"{switch.tm1.path}.occupancy" in names
         assert any(name.endswith(".utilization") for name in names)
+        assert telemetry.monitor.attached is switch
         assert telemetry.switch is switch
+
+    def test_default_hub_has_no_monitor(self, small_rmt_config):
+        """A default hub samples nothing: the kernel keeps no probe."""
+        telemetry = Telemetry()
+        switch = RMTSwitch(small_rmt_config, telemetry=telemetry)
+        assert telemetry.monitor is None
+        assert switch._sim.time_probe is None
 
     def test_disabled_recorder_skips_trace_wiring(self, small_rmt_config):
         """A hub whose recorder is off at construction leaves every
-        component on the ``trace is None`` fast path, but metrics and the
-        final snapshot still work."""
-        telemetry = Telemetry()
+        component on the ``trace is None`` fast path, but the monitor
+        and its final sample still work."""
+        telemetry = Telemetry(monitor=ResourceMonitor())
         telemetry.trace.disable()
         result = _run_rmt(small_rmt_config, telemetry)
         assert telemetry.trace.emitted == 0
         assert telemetry.trace.filtered == 0  # sites never reached emit()
-        assert telemetry.metrics.series  # finish() snapshot still taken
-        assert telemetry.metrics.latest("rmt.delivered") == len(
-            result.delivered
+        monitor = telemetry.monitor
+        assert monitor.times_s[-1] == result.duration_s  # finish() sample
+        assert monitor.column("rmt.recirculations")[-1] == (
+            result.recirculated_packets
         )
 
     def test_merge_depth_gauge_with_ordered_flows(self, small_adcp_config):
         app = SortMergeJoinApp(left_port=0, right_port=1, output_port=7)
-        telemetry = Telemetry()
+        telemetry = Telemetry(monitor=ResourceMonitor())
         switch = ADCPSwitch(
             small_adcp_config,
             app,
             ordered_flows=app.ordered_flows(),
             telemetry=telemetry,
         )
-        assert f"{switch.tm1.path}.merge_depth" in telemetry.metrics.gauge_names
+        assert f"{switch.tm1.path}.merge_depth" in telemetry.monitor.names
 
 
 class TestRunConsistency:
@@ -99,21 +110,23 @@ class TestRunConsistency:
         assert trace.count(name="tm1.place") > 0
 
     def test_final_snapshot_taken_on_finish(self, small_adcp_config):
-        telemetry = Telemetry()
+        telemetry = Telemetry(monitor=ResourceMonitor())
         result = _run_adcp(small_adcp_config, telemetry)
-        assert telemetry.metrics.series
-        final = telemetry.metrics.series[-1]
-        assert final.time_s == pytest.approx(result.duration_s)
-        assert final.value("adcp.delivered") == len(result.delivered)
+        monitor = telemetry.monitor
+        assert monitor.times_s[-1] == result.duration_s
+        # The final sample sees the drained switch: TM1 is empty.
+        tm1 = telemetry.switch.tm1.path
+        assert monitor.column(f"{tm1}.occupancy")[-1] == 0.0
+        assert result.counters["adcp.delivered"] == len(result.delivered)
 
     def test_periodic_snapshots_on_grid(self, small_rmt_config):
-        telemetry = Telemetry(snapshot_interval_s=1e-8)
+        telemetry = Telemetry(monitor=ResourceMonitor(interval_ns=10.0))
         result = _run_rmt(small_rmt_config, telemetry)
-        periodic = telemetry.metrics.series[:-1]  # last one is finish()
+        periodic = telemetry.monitor.times_s[:-1]  # last one is finish()
         assert periodic
-        for i, snapshot in enumerate(periodic, start=1):
-            assert snapshot.time_s == pytest.approx(i * 1e-8)
-        assert periodic[-1].time_s <= result.duration_s
+        for i, time_s in enumerate(periodic, start=1):
+            assert time_s == pytest.approx(i * 1e-8)
+        assert periodic[-1] <= result.duration_s
 
 
 class TestNonPerturbation:
@@ -121,7 +134,8 @@ class TestNonPerturbation:
         plain = _normalized(_run_rmt(small_rmt_config))
         traced = _normalized(
             _run_rmt(
-                small_rmt_config, Telemetry(snapshot_interval_s=1e-8)
+                small_rmt_config,
+                Telemetry(monitor=ResourceMonitor(interval_ns=10.0)),
             )
         )
         assert plain == traced
@@ -130,7 +144,8 @@ class TestNonPerturbation:
         plain = _normalized(_run_adcp(small_adcp_config))
         traced = _normalized(
             _run_adcp(
-                small_adcp_config, Telemetry(snapshot_interval_s=1e-8)
+                small_adcp_config,
+                Telemetry(monitor=ResourceMonitor(interval_ns=10.0)),
             )
         )
         assert plain == traced
@@ -159,7 +174,15 @@ class TestRunner:
         doc = json.loads(out.read_text())
         assert doc["traceEvents"]
         phases = {e["ph"] for e in doc["traceEvents"]}
-        assert phases <= {"X", "i", "C"}
+        assert phases == {"X", "i", "C"}
+        # Counter tracks are the monitor's series, under the section.
+        counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
+        assert {e["cat"] for e in counters} == {"monitor"}
+        assert {e["pid"] for e in counters} == {"adcp-mergejoin"}
+        section = run.sections[0]
+        assert len(counters) == len(section.telemetry.monitor) * len(
+            section.telemetry.monitor.names
+        )
         summary = run.summary()
         assert summary["workload"] == "mergejoin"
         assert summary["sections"][0]["events_emitted"] > 0
