@@ -224,6 +224,8 @@ class ADCPSwitch(BaseSwitch):
                 )
         else:
             released = self._merge.offer(packet)
+            if self.spans is not None and packet.meta.span is not None:
+                self.spans.mark_offer(self.name, packet.packet_id, ready)
             if self.trace is not None:
                 self._emit(
                     Category.MERGE,
@@ -248,7 +250,7 @@ class ADCPSwitch(BaseSwitch):
         if self.spans is not None and packet.meta.span is not None:
             self.spans.record(
                 packet.meta.span, packet.packet_id, self.name,
-                "tm", ready, admitted[1],
+                "tm_service", ready, admitted[1], self.tm1.path,
             )
         return admitted
 
@@ -276,6 +278,10 @@ class ADCPSwitch(BaseSwitch):
         for packet in released:
             if self.trace is not None:
                 self._emit(Category.MERGE, "merge.release", ready, packet)
+            if self.spans is not None and packet.meta.span is not None:
+                self.spans.mark_release(
+                    packet.meta.span, self.name, packet.packet_id, ready
+                )
             outcome = self._admit_tm1(packet, ready)
             if outcome is not None:
                 partition, deliver = outcome
@@ -302,7 +308,7 @@ class ADCPSwitch(BaseSwitch):
             enforce_width=self.app is not None,
         )
         if self.spans is not None:
-            self._span_service(packet, record, pipeline, "tm")
+            self._span_service(packet, record, pipeline, self.tm1)
         self.tm1.release(packet, now=record.exit_time)
         packet.meta.central_done = True
         if self._settle(packet, record.decision, record.exit_time, "central"):
@@ -313,7 +319,7 @@ class ADCPSwitch(BaseSwitch):
         packet.meta.egress_pipeline = lane
         record = pipeline.service(packet, ready, self._egress_hook)
         if self.spans is not None:
-            self._span_service(packet, record, pipeline, "tm")
+            self._span_service(packet, record, pipeline, self.tm2)
         self.tm2.release(packet, now=record.exit_time)
         if record.decision.emissions:
             raise ConfigError(

@@ -25,6 +25,8 @@ class TxPort:
         if link_bps <= 0:
             raise ConfigError(f"link speed must be positive, got {link_bps}")
         self.port = port
+        self.component = f"port.tx{port}"
+        """The name trace events and span records book this port's time to."""
         self.link_bps = link_bps
         self._free_at = 0.0
         self._queue: deque[Packet] = deque()
@@ -71,14 +73,13 @@ class TxPort:
     ) -> None:
         from ..telemetry.events import Category
 
-        # ready_s/departure_s carry the exact queue-enter and last-bit
-        # floats so the latency profiler can tile the serialization span
-        # without re-deriving boundaries from start + duration.
+        # ready_s/departure_s are the exact queue-enter and last-bit
+        # floats, not re-derived from start + duration.
         self.trace.emit(
             Category.PORT,
             "port.tx",
             start,
-            component=f"port.tx{self.port}",
+            component=self.component,
             packet_id=packet.packet_id,
             duration_s=duration,
             port=self.port,
@@ -108,7 +109,7 @@ class TxPort:
         ``label`` overrides the series prefix (the switch uses it to name
         recirculation loopback ports distinctly from front-panel ports).
         """
-        prefix = label or f"port.tx{self.port}"
+        prefix = label or self.component
         return {
             f"{prefix}.utilization": lambda now_s: (
                 min(1.0, self.busy_seconds / now_s) if now_s > 0 else 0.0

@@ -257,8 +257,9 @@ class BaseSwitch(Component):
             admit(packet)
             yield time, packet
 
-    def _span_service(self, packet, record, pipeline, queue_hop="ingress_queue"):
-        """Record one pipeline pass's span hops for a sampled packet."""
+    def _span_service(self, packet, record, pipeline, tm=None):
+        """Record one pipeline pass's span hops for a sampled packet;
+        ``tm`` is the traffic manager it waited in, if it crossed one."""
         span = packet.meta.span
         if span is not None:
             self.spans.service(
@@ -269,7 +270,8 @@ class BaseSwitch(Component):
                 record.service_start,
                 pipeline.parser_latency_cycles * pipeline.cycle_s,
                 record.exit_time,
-                queue_hop,
+                pipeline.path,
+                None if tm is None else tm.path,
             )
 
     # --- run loop -----------------------------------------------------------------
@@ -359,6 +361,8 @@ class BaseSwitch(Component):
             self.counter("consumed").add()
             if self.trace is not None:
                 self._emit(Category.PACKET, "packet.consumed", ready, packet)
+            if self.spans is not None and meta.span is not None:
+                self.spans.mark_consumed(self.name, packet.packet_id, ready)
         else:
             self._recirculate(packet, ready, station)
         return False
@@ -413,10 +417,15 @@ class BaseSwitch(Component):
                 # Replicated copies get fresh metadata; keep them on the
                 # parent's span so every multicast leg is traced.
                 span = meta.span
+                tm = self._egress_tm.path
                 for copy, _, deliver in deliveries:
                     copy.meta.span = span
                     spans.record(
-                        span, copy.packet_id, self.name, "tm", ready, deliver
+                        span, copy.packet_id, self.name,
+                        "tm_service", ready, deliver, tm,
+                    )
+                    spans.mark_parent(
+                        self.name, copy.packet_id, packet.packet_id
                     )
             # All copies of one multicast admission share a deliver time
             # (same ready, constant TM latency), so one kernel event
@@ -438,18 +447,20 @@ class BaseSwitch(Component):
         index, deliver = admitted
         if self.spans is not None and meta.span is not None:
             self.spans.record(
-                meta.span, packet.packet_id, self.name, "tm", ready, deliver
+                meta.span, packet.packet_id, self.name,
+                "tm_service", ready, deliver, self._egress_tm.path,
             )
         self._sim.at(deliver, self._make_egress_event(packet, index, deliver))
 
     def _transmit(self, packet: Packet, ready: float) -> None:
         """Serialize onto the packet's TX port and hand it to the port sink."""
         port = packet.meta.egress_port
-        departure = self.tx_ports[port].transmit(packet, ready)
+        tx = self.tx_ports[port]
+        departure = tx.transmit(packet, ready)
         if self.spans is not None and packet.meta.span is not None:
             self.spans.record(
                 packet.meta.span, packet.packet_id, self.name,
-                "egress_serial", ready, departure,
+                "egress_serial", ready, departure, tx.component,
             )
         self._result.delivered.append(packet)
         self.counter("delivered").add()

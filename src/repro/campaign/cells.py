@@ -77,9 +77,9 @@ def _monitored_telemetry():
 
 def _section(label: str, telemetry, result) -> dict:
     """One ledger section from a monitored switch run."""
-    from ..fabric.runner import SwitchSection, switch_section_json
+    from ..telemetry.ledger import SwitchSection
 
-    return switch_section_json(SwitchSection(label, telemetry, result))
+    return SwitchSection(label, telemetry, result).to_json()
 
 
 def _ledger(workload: str, params: dict, sections: list[dict]) -> dict:
@@ -309,6 +309,8 @@ def _cell_echo(params: dict) -> dict:
     Test scaffolding for the pool/runner/CLI suites — fast, importable
     under any multiprocessing start method, and byte-stable.
     """
+    from ..telemetry.ledger import point
+
     raw = params.get("value", 0)
     value = float(raw) if isinstance(raw, (int, float)) else 0.0
     sections = [
@@ -319,15 +321,7 @@ def _cell_echo(params: dict) -> dict:
             "consumed": 0,
             "recirculated": 0,
             "samples": 1,
-            "series": {
-                "echo.value": {
-                    "samples": 1,
-                    "mean": value,
-                    "peak": value,
-                    "p99": value,
-                    "last": value,
-                }
-            },
+            "series": {"echo.value": point(value)},
             "counters": {},
         }
     ]

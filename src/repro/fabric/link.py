@@ -54,7 +54,7 @@ class Link:
         if spans is not None and packet.meta.span is not None:
             spans.record(
                 packet.meta.span, packet.packet_id, self.name,
-                "link", departure_s, arrival,
+                "link", departure_s, arrival, self.name,
             )
         self.deliver(packet, arrival)
 

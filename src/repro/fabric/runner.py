@@ -25,6 +25,7 @@ from ..errors import ConfigError, SimulationError
 from ..net.headers import OP_DATA
 from ..net.packet import Packet
 from ..sim.event import CollectorPause, Simulator
+from ..telemetry.ledger import SwitchSection, point
 from ..telemetry.monitor import DEFAULT_INTERVAL_NS
 from ..units import GBPS
 from .app import FabricAggregateApp, HostedCoflow
@@ -46,39 +47,6 @@ DEFAULT_LINK_LATENCY_NS = 300.0
 DEFAULT_FLOWLET_GAP_NS = 500.0
 
 _NS = 1e-9
-
-
-@dataclass
-class SwitchSection:
-    """One switch's slice of the fabric run (ledger section source)."""
-
-    label: str
-    telemetry: object
-    result: object
-
-
-def switch_section_json(section: SwitchSection) -> dict:
-    """One switch's ledger section (shared by batch and serve runners)."""
-    result = section.result
-    entry = {
-        "label": section.label,
-        "duration_s": result.duration_s,
-        "delivered": len(result.delivered),
-        "consumed": result.consumed,
-        "recirculated": result.recirculated_packets,
-        "samples": 0,
-        "series": {},
-        "counters": result.counters,
-    }
-    telemetry = section.telemetry
-    monitor = getattr(telemetry, "monitor", None)
-    if monitor is not None:
-        entry["samples"] = len(monitor)
-        entry["series"] = {
-            name: summary.to_json()
-            for name, summary in monitor.summaries().items()
-        }
-    return entry
 
 
 @dataclass
@@ -136,31 +104,17 @@ class FabricRun:
 
     # --- reporting ----------------------------------------------------------------
 
-    def _switch_section(self, section: SwitchSection) -> dict:
-        return switch_section_json(section)
-
-    def _point(self, value: float) -> dict:
-        """A single-sample series summary (scalar fabric outcomes)."""
-        value = float(value)
-        return {
-            "samples": 1,
-            "mean": value,
-            "peak": value,
-            "p99": value,
-            "last": value,
-        }
-
     def _fabric_section(self) -> dict:
         series = {}
         for name in sorted(self.links):
             link = self.links[name]
-            series[f"link.{name}.packets"] = self._point(link.packets)
-            series[f"link.{name}.wire_bytes"] = self._point(link.wire_bytes)
+            series[f"link.{name}.packets"] = point(link.packets)
+            series[f"link.{name}.wire_bytes"] = point(link.wire_bytes)
         for coflow_id in sorted(self.cct_s):
-            series[f"cct.c{coflow_id}_s"] = self._point(self.cct_s[coflow_id])
+            series[f"cct.c{coflow_id}_s"] = point(self.cct_s[coflow_id])
         if self.cct_s:
-            series["cct.max_s"] = self._point(self.max_cct_s)
-        series["transit.packets"] = self._point(self.transit_packets)
+            series["cct.max_s"] = point(self.max_cct_s)
+        series["transit.packets"] = point(self.transit_packets)
         return {
             "label": "fabric",
             "duration_s": self.duration_s,
@@ -178,7 +132,7 @@ class FabricRun:
         """The run as a ``repro.run_ledger/1`` document (diffable)."""
         from ..telemetry.ledger import build_ledger
 
-        sections = [self._switch_section(s) for s in self.sections]
+        sections = [section.to_json() for section in self.sections]
         sections.append(self._fabric_section())
         label = (
             f"fabric:{self.workload}@{self.topology.name}:{self.target}"

@@ -311,10 +311,8 @@ class Pipeline(Component):
         from ..telemetry.events import Category, Severity
 
         # ready_s/exit_s/parse_s are the exact floats of this pass's
-        # queue-enter, pipeline-exit, and parser-phase boundaries.  The
-        # latency profiler tiles a packet's lifetime from these spans, so
-        # boundaries must be passed through verbatim rather than
-        # re-derived downstream (start + duration need not equal exit_s
+        # queue-enter, pipeline-exit, and parser-phase boundaries, passed
+        # through verbatim (start + duration need not equal exit_s
         # bit-for-bit under IEEE rounding).
         self.trace.emit(
             Category.PIPELINE,

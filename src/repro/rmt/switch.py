@@ -231,7 +231,7 @@ class RMTSwitch(BaseSwitch):
         hook = self._central_hook if run_central else self._egress_hook
         record = pipeline.service(packet, ready, hook, enforce_width=run_central)
         if self.spans is not None:
-            self._span_service(packet, record, pipeline, "tm")
+            self._span_service(packet, record, pipeline, self.tm)
         self.tm.release(packet, now=record.exit_time)
         if run_central:
             packet.meta.central_done = True
@@ -306,7 +306,8 @@ class RMTSwitch(BaseSwitch):
         _, deliver = admitted
         if self.spans is not None and meta.span is not None:
             self.spans.record(
-                meta.span, packet.packet_id, self.name, "tm", ready, deliver
+                meta.span, packet.packet_id, self.name,
+                "tm_service", ready, deliver, self.tm.path,
             )
         self._sim.at(
             deliver, self._make_egress_event(packet, state_pipe, deliver, True)
@@ -347,22 +348,27 @@ class RMTSwitch(BaseSwitch):
         spans = self.spans
         span = packet.meta.span if spans is not None else None
         if span is not None:
-            spans.record(span, packet.packet_id, self.name, "tm", ready, deliver)
+            spans.record(
+                span, packet.packet_id, self.name,
+                "tm_service", ready, deliver, self.tm.path,
+            )
         egress = self.egress[pipeline]
         record = egress.service(packet, deliver, None)
         if spans is not None:
-            self._span_service(packet, record, egress, "tm")
+            self._span_service(packet, record, egress, self.tm)
         self.tm.release(packet, now=record.exit_time)
         loop = self.recirc_ports[pipeline]
         re_arrival = loop.transmit(packet, record.exit_time)
         if span is not None:
             spans.record(
-                span,
-                packet.packet_id,
-                self.name,
-                "egress_serial",
-                record.exit_time,
-                re_arrival,
+                span, packet.packet_id, self.name,
+                "egress_serial", record.exit_time, re_arrival, loop.component,
+            )
+            # The whole loop is one recirculation tile; the hops above
+            # stay records for the span ledger.
+            spans.mark_wait(
+                span, packet.packet_id, self.name, "recirculation",
+                ready, re_arrival, f"{self.path}.recirc{pipeline}",
             )
         packet.meta.recirculations += 1
         self._result.recirculated_packets += 1

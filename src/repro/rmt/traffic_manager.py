@@ -104,8 +104,7 @@ class TrafficManager(Component):
             pipeline = self.route(packet)
         deliver = ready_time + self.latency_s
         if self.trace is not None:
-            # deliver_s is the exact float handed back to the switch; the
-            # latency profiler uses it as the TM-service span boundary.
+            # deliver_s is the exact float handed back to the switch.
             self._trace_event(
                 "tm.admit",
                 ready_time,
@@ -205,9 +204,8 @@ class TrafficManager(Component):
                 continue
             if self.trace is not None:
                 # Replication severs the packet-id chain: the parent ends
-                # here and each copy starts a fresh trace lineage.  The
-                # linkage event lets the latency profiler extend a copy's
-                # attributed lifetime back through its parent's segments.
+                # here and each copy starts a fresh trace lineage, which
+                # this event links back to the parent.
                 self._trace_event(
                     "packet.replicated",
                     ready_time,

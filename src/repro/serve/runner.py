@@ -29,7 +29,6 @@ from ..fabric.runner import (
     PORT_SPEED_BPS,
     build_fabric,
     inject_arrivals,
-    switch_section_json,
 )
 from ..fabric.topology import Topology, parse_topology
 from ..sim.event import CollectorPause, Simulator
@@ -187,7 +186,7 @@ class ServeRun:
                     "series": span_overview_series(self.spans),
                 }
             )
-        sections.extend(switch_section_json(s) for s in self.sections)
+        sections.extend(section.to_json() for section in self.sections)
         label = (
             f"serve:{self.workload}@{self.topology.name}:{self.target}"
         )

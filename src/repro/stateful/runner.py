@@ -31,7 +31,9 @@ from ..sim.rng import DEFAULT_SEED
 from ..tables.mat import MatchKind
 from ..telemetry.ledger import (
     STATEFUL_LEDGER_SCHEMA,
+    SwitchSection,
     git_sha,
+    point,
     write_ledger,
 )
 from ..units import GBPS
@@ -60,21 +62,6 @@ _ADCP_ARRAY_WIDTH = 16
 #: ADCP packs multiple keys per packet only where the workload has a
 #: multi-key packet format; events and requests stay scalar.
 _ADCP_EPP = {"heavyhitter": 8}
-
-
-def _point(value: float, direction: str | None = None) -> dict:
-    """Single-sample series summary (same shape as the fabric ledger)."""
-    value = float(value)
-    summary = {
-        "samples": 1,
-        "mean": value,
-        "peak": value,
-        "p99": value,
-        "last": value,
-    }
-    if direction is not None:
-        summary["direction"] = direction
-    return summary
 
 
 @dataclass
@@ -212,9 +199,9 @@ def _run_single_target(
 
 def single_trace_sections(
     workload: str, *, make_telemetry=None, seed: int = 0, spans=None
-):
-    """Both targets' single-switch runs as (label, telemetry, result)
-    triples — the TRACEABLE adapter for trace/profile/monitor/spans."""
+) -> list[SwitchSection]:
+    """Both targets' single-switch runs, one section each — the
+    TRACEABLE adapter for trace/profile/monitor."""
     out = []
     for target in ("adcp", "rmt"):
         stream, telemetry, result = _run_single_target(
@@ -227,7 +214,7 @@ def single_trace_sections(
             make_telemetry=make_telemetry,
             spans=spans,
         )
-        out.append((f"{target}-{workload}", telemetry, result))
+        out.append(SwitchSection(f"{target}-{workload}", telemetry, result))
     return out
 
 
@@ -239,59 +226,59 @@ def _app_series(workload: str, app, truth: dict, duration_s: float) -> dict:
     series: dict[str, dict] = {}
     if workload == "tokenbucket":
         bucket = app.bucket
-        series["admitted"] = _point(app.admitted)
-        series["rate_limited"] = _point(app.rate_limited)
-        series["goodput_pps"] = _point(
+        series["admitted"] = point(app.admitted)
+        series["rate_limited"] = point(app.rate_limited)
+        series["goodput_pps"] = point(
             app.admitted / duration_s if duration_s > 0 else 0.0, "higher"
         )
-        series["scr.admit_divergence"] = _point(bucket.admit_divergence)
-        series["scr.shadow_admitted"] = _point(bucket.shadow_admitted)
-        series["scr.reconciliations"] = _point(bucket.reconciliations)
-        series["scr.tokens_moved"] = _point(bucket.tokens_moved)
-        series["state_accesses"] = _point(app.admitted + app.rate_limited)
+        series["scr.admit_divergence"] = point(bucket.admit_divergence)
+        series["scr.shadow_admitted"] = point(bucket.shadow_admitted)
+        series["scr.reconciliations"] = point(bucket.reconciliations)
+        series["scr.tokens_moved"] = point(bucket.tokens_moved)
+        series["state_accesses"] = point(app.admitted + app.rate_limited)
     elif workload == "synflood":
         engine = app.engine
         flagged = set(app.flagged_sources())
         attackers = set(truth.get("attackers", []))
         benign = truth.get("sources", engine.flows) - len(attackers)
         detected = len(flagged & attackers)
-        series["detection_rate"] = _point(
+        series["detection_rate"] = point(
             detected / len(attackers) if attackers else 0.0, "higher"
         )
-        series["false_positive_rate"] = _point(
+        series["false_positive_rate"] = point(
             len(flagged - attackers) / benign if benign else 0.0
         )
-        series["mitigated_syns"] = _point(app.mitigated)
-        series["efsm.steps"] = _point(engine.steps)
-        series["efsm.unmatched"] = _point(engine.unmatched)
-        series["state_accesses"] = _point(engine.state_accesses)
+        series["mitigated_syns"] = point(app.mitigated)
+        series["efsm.steps"] = point(engine.steps)
+        series["efsm.unmatched"] = point(engine.unmatched)
+        series["state_accesses"] = point(engine.state_accesses)
         for edge, count in engine.transition_counts().items():
-            series[f"efsm.{edge}"] = _point(count)
+            series[f"efsm.{edge}"] = point(count)
     elif workload == "heavyhitter":
         promoted = set(app.promoted_keys())
         heavy = set(truth.get("heavy", []))
         found = len(promoted & heavy)
-        series["detection_rate"] = _point(
+        series["detection_rate"] = point(
             found / len(heavy) if heavy else 0.0, "higher"
         )
-        series["false_positive_rate"] = _point(
+        series["false_positive_rate"] = point(
             len(promoted - heavy) / len(promoted) if promoted else 0.0
         )
-        series["promotions"] = _point(app.promotions)
-        series["table_fill"] = _point(app.heavy.fill)
-        series["mat_lookups"] = _point(app.heavy.lookups)
-        series["state_accesses"] = _point(app.heavy.lookups * app.rows)
+        series["promotions"] = point(app.promotions)
+        series["table_fill"] = point(app.heavy.fill)
+        series["mat_lookups"] = point(app.heavy.lookups)
+        series["state_accesses"] = point(app.heavy.lookups * app.rows)
     else:  # keycache
         shared = app.shared
-        series["hit_rate"] = _point(app.hit_rate, "higher")
-        series["hits"] = _point(app.hits)
-        series["misses"] = _point(app.misses)
-        series["puts"] = _point(app.puts)
-        series["stale_reads"] = _point(shared.stale_reads)
-        series["merge_rounds"] = _point(shared.merge_rounds)
-        series["merge_messages"] = _point(shared.merge_messages)
-        series["merge_bytes"] = _point(shared.merge_bytes)
-        series["state_accesses"] = _point(shared.reads + shared.updates)
+        series["hit_rate"] = point(app.hit_rate, "higher")
+        series["hits"] = point(app.hits)
+        series["misses"] = point(app.misses)
+        series["puts"] = point(app.puts)
+        series["stale_reads"] = point(shared.stale_reads)
+        series["merge_rounds"] = point(shared.merge_rounds)
+        series["merge_messages"] = point(shared.merge_messages)
+        series["merge_bytes"] = point(shared.merge_bytes)
+        series["state_accesses"] = point(shared.reads + shared.updates)
     return series
 
 
@@ -321,20 +308,20 @@ def _merge_app_counters(workload: str, apps: list, truth: dict, duration_s: floa
         clients = truth.get("clients", [])
         benign = len([c for c in clients if c not in attackers])
         series = {
-            "detection_rate": _point(
+            "detection_rate": point(
                 len(flagged & attackers) / len(attackers) if attackers else 0.0,
                 "higher",
             ),
-            "false_positive_rate": _point(
+            "false_positive_rate": point(
                 len(flagged - attackers) / benign if benign else 0.0
             ),
-            "mitigated_syns": _point(mitigated),
-            "efsm.steps": _point(steps),
-            "efsm.unmatched": _point(unmatched),
-            "state_accesses": _point(accesses),
+            "mitigated_syns": point(mitigated),
+            "efsm.steps": point(steps),
+            "efsm.unmatched": point(unmatched),
+            "state_accesses": point(accesses),
         }
         for edge, count in sorted(transitions.items()):
-            series[f"efsm.{edge}"] = _point(count)
+            series[f"efsm.{edge}"] = point(count)
         return series
     if workload == "heavyhitter":
         promoted: set[int] = set()
@@ -346,16 +333,16 @@ def _merge_app_counters(workload: str, apps: list, truth: dict, duration_s: floa
             accesses += app.heavy.lookups * app.rows
         heavy = set(truth.get("heavy", []))
         return {
-            "detection_rate": _point(
+            "detection_rate": point(
                 len(promoted & heavy) / len(heavy) if heavy else 0.0,
                 "higher",
             ),
-            "false_positive_rate": _point(
+            "false_positive_rate": point(
                 len(promoted - heavy) / len(promoted) if promoted else 0.0
             ),
-            "promotions": _point(promotions),
-            "mat_lookups": _point(lookups),
-            "state_accesses": _point(accesses),
+            "promotions": point(promotions),
+            "mat_lookups": point(lookups),
+            "state_accesses": point(accesses),
         }
     if workload == "tokenbucket":
         admitted = limited = divergence = shadow = rounds = 0
@@ -368,16 +355,16 @@ def _merge_app_counters(workload: str, apps: list, truth: dict, duration_s: floa
             rounds += app.bucket.reconciliations
             moved += app.bucket.tokens_moved
         return {
-            "admitted": _point(admitted),
-            "rate_limited": _point(limited),
-            "goodput_pps": _point(
+            "admitted": point(admitted),
+            "rate_limited": point(limited),
+            "goodput_pps": point(
                 admitted / duration_s if duration_s > 0 else 0.0, "higher"
             ),
-            "scr.admit_divergence": _point(divergence),
-            "scr.shadow_admitted": _point(shadow),
-            "scr.reconciliations": _point(rounds),
-            "scr.tokens_moved": _point(moved),
-            "state_accesses": _point(admitted + limited),
+            "scr.admit_divergence": point(divergence),
+            "scr.shadow_admitted": point(shadow),
+            "scr.reconciliations": point(rounds),
+            "scr.tokens_moved": point(moved),
+            "state_accesses": point(admitted + limited),
         }
     # keycache: shared object, per-app hit counters.
     shared = truth["shared"]
@@ -386,15 +373,15 @@ def _merge_app_counters(workload: str, apps: list, truth: dict, duration_s: floa
     puts = sum(app.puts for app in apps)
     total = hits + misses
     return {
-        "hit_rate": _point(hits / total if total else 0.0, "higher"),
-        "hits": _point(hits),
-        "misses": _point(misses),
-        "puts": _point(puts),
-        "stale_reads": _point(shared.stale_reads),
-        "merge_rounds": _point(shared.merge_rounds),
-        "merge_messages": _point(shared.merge_messages),
-        "merge_bytes": _point(shared.merge_bytes),
-        "state_accesses": _point(shared.reads + shared.updates),
+        "hit_rate": point(hits / total if total else 0.0, "higher"),
+        "hits": point(hits),
+        "misses": point(misses),
+        "puts": point(puts),
+        "stale_reads": point(shared.stale_reads),
+        "merge_rounds": point(shared.merge_rounds),
+        "merge_messages": point(shared.merge_messages),
+        "merge_bytes": point(shared.merge_bytes),
+        "state_accesses": point(shared.reads + shared.updates),
     }
 
 
@@ -440,10 +427,10 @@ def compile_divergence(workload: str, flows: int) -> StatefulSection:
             table_name = f"{workload}_state"
         for target, label in ((rmt, "rmt"), (adcp, "adcp")):
             allocation = Compiler(target).allocate(program)
-            series[f"{label}.replication_factor.k{k}"] = _point(
+            series[f"{label}.replication_factor.k{k}"] = point(
                 allocation.replication_factor(table_name)
             )
-            series[f"{label}.sram_blocks.k{k}"] = _point(
+            series[f"{label}.sram_blocks.k{k}"] = point(
                 allocation.total_sram_blocks
             )
     return StatefulSection(
@@ -533,10 +520,10 @@ def run_stateful(
             series = _app_series(
                 workload, stream.app, stream.truth, result.duration_s
             )
-            series["delivered"] = _point(len(result.delivered))
-            series["dropped"] = _point(len(result.dropped))
-            series["consumed"] = _point(result.consumed)
-            series["duration_ns"] = _point(result.duration_s * 1e9)
+            series["delivered"] = point(len(result.delivered))
+            series["dropped"] = point(len(result.dropped))
+            series["consumed"] = point(result.consumed)
+            series["duration_ns"] = point(result.duration_s * 1e9)
             section = StatefulSection(
                 label=f"{tgt}:{workload}",
                 series=series,
@@ -564,10 +551,10 @@ def run_stateful(
             series = _merge_app_counters(
                 workload, apps, factory.truth, run.duration_s
             )
-            series["delivered"] = _point(run.delivered_to_hosts)
-            series["transit_packets"] = _point(run.transit_packets)
-            series["injected"] = _point(run.injected)
-            series["duration_ns"] = _point(run.duration_s * 1e9)
+            series["delivered"] = point(run.delivered_to_hosts)
+            series["transit_packets"] = point(run.transit_packets)
+            series["injected"] = point(run.injected)
+            series["duration_ns"] = point(run.duration_s * 1e9)
             section = StatefulSection(
                 label=f"{tgt}:{workload}@{run.topology.name}",
                 series=series,

@@ -56,7 +56,6 @@ from .spans import (
     build_span_ledger,
     coflow_critical_paths,
     span_chrome_events,
-    span_hop_totals,
     span_overview_series,
     write_span_ledger,
 )
@@ -66,7 +65,6 @@ from .profiler import (
     QUEUE_BUCKETS,
     PacketProfile,
     RunProfile,
-    Segment,
     profile_chrome_events,
     profile_run,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "SPAN_HOPS",
     "SPAN_LEDGER_SCHEMA",
     "STATEFUL_LEDGER_SCHEMA",
-    "Segment",
     "SeriesSummary",
     "Severity",
     "SpanRecord",
@@ -118,7 +115,6 @@ __all__ = [
     "profile_chrome_events",
     "profile_run",
     "span_chrome_events",
-    "span_hop_totals",
     "span_overview_series",
     "text_report",
     "to_chrome_trace",

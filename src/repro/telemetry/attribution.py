@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from ..errors import SimulationError
 from ..sim.stats import Histogram
 from .profiler import BUCKETS, QUEUE_BUCKETS, RunProfile
-from .recorder import TraceRecorder
 
 
 @dataclass(frozen=True)
@@ -130,10 +129,10 @@ class AttributionTable:
 class LittlesLawCheck:
     """L = λW cross-check for one traffic manager.
 
-    ``predicted_occupancy`` is λW from the trace: admission rate times
-    mean admit→release residency, on trace timestamps, which are model
-    times (admission at the upstream pipeline's exit, release at the
-    downstream pipeline's exit).  ``observed_occupancy`` is the time
+    ``predicted_occupancy`` is λW from the span records: admission rate
+    times mean admit→release residency, on model times (admission at the
+    upstream pipeline's exit, release at the downstream pipeline's
+    exit).  ``observed_occupancy`` is the time
     average of the TM's sampled ``<tm>.occupancy`` series, a counter
     that moves when the switch dispatches those admit and release calls
     on the simulation clock.  Under heavy TM queueing the two clocks
@@ -240,35 +239,8 @@ class BottleneckReport:
         }
 
 
-def _tm_residencies(recorder: TraceRecorder) -> dict[str, list[float]]:
-    """Per-TM admit→release residencies, paired chronologically per packet.
-
-    A packet cannot occupy one TM's buffer twice at the same instant, so
-    sorting each packet's admits and releases and zipping them pairs the
-    crossings correctly even for recirculating packets.
-    """
-    admits: dict[tuple[str, int], list[float]] = {}
-    releases: dict[tuple[str, int], list[float]] = {}
-    for event in recorder:
-        if event.name == "tm.admit" and event.packet_id is not None:
-            admits.setdefault((event.component, event.packet_id), []).append(
-                event.time_s
-            )
-        elif event.name == "tm.release" and event.packet_id is not None:
-            releases.setdefault((event.component, event.packet_id), []).append(
-                event.time_s
-            )
-    residencies: dict[str, list[float]] = {}
-    for (component, packet_id), times in admits.items():
-        out_times = releases.get((component, packet_id), [])
-        for admitted, released in zip(sorted(times), sorted(out_times)):
-            residencies.setdefault(component, []).append(released - admitted)
-    return residencies
-
-
 def analyze_bottlenecks(
     profile: RunProfile,
-    recorder: TraceRecorder,
     monitor=None,
     duration_s: float | None = None,
     top_k: int = 5,
@@ -325,7 +297,7 @@ def analyze_bottlenecks(
     littles = []
     if monitor is not None:
         littles = monitor_littles_checks(
-            recorder, monitor, duration_s, tolerance=littles_tolerance
+            profile, monitor, duration_s, tolerance=littles_tolerance
         )
 
     return BottleneckReport(
@@ -338,26 +310,27 @@ def analyze_bottlenecks(
 
 
 def monitor_littles_checks(
-    recorder: TraceRecorder,
+    profile: RunProfile,
     monitor,
     duration_s: float,
     tolerance: float = 2.0,
 ) -> list[LittlesLawCheck]:
     """Little's-law checks of the resource monitor's TM series.
 
-    One :class:`LittlesLawCheck` per TM that both admitted packets in
-    the trace and has a ``<tm>.occupancy`` series in the
+    One :class:`LittlesLawCheck` per TM that both holds residencies in
+    ``profile`` (:attr:`RunProfile.residencies`) and has a
+    ``<tm>.occupancy`` series in the
     :class:`~repro.telemetry.monitor.ResourceMonitor`; a monitor that
     has not sampled yet reads zero occupancy.  The bottleneck report
-    reuses these rows.  The predicted side reads trace (model)
-    times and the observed side the dispatch clock, so the checks flag
-    heavy TM queueing as well as a mis-wired probe.
+    reuses these rows.  The predicted side reads model times and the
+    observed side the dispatch clock, so the checks flag heavy TM
+    queueing as well as a mis-wired probe.
     """
     checks: list[LittlesLawCheck] = []
     if duration_s <= 0:
         return checks
     names = set(monitor.names)
-    for component, residencies in sorted(_tm_residencies(recorder).items()):
+    for component, residencies in sorted(profile.residencies.items()):
         series = f"{component}.occupancy"
         if not residencies or series not in names:
             continue

@@ -125,6 +125,54 @@ def build_ledger(
     }
 
 
+def point(value: float, direction: str | None = None) -> dict:
+    """A single-sample series summary, for a scalar run outcome;
+    ``direction`` tags its polarity for ``repro diff``."""
+    value = float(value)
+    summary = {
+        "samples": 1,
+        "mean": value,
+        "peak": value,
+        "p99": value,
+        "last": value,
+    }
+    if direction is not None:
+        summary["direction"] = direction
+    return summary
+
+
+@dataclass
+class SwitchSection:
+    """One switch's run: its section label, telemetry hub and result."""
+
+    label: str
+    telemetry: object  # repro.telemetry.Telemetry, or None
+    result: object  # repro.arch.switch.SwitchRunResult
+
+    def to_json(self) -> dict:
+        """The run-ledger section: terminal counts, counters and, when the
+        hub carries a monitor, its series summaries."""
+        result = self.result
+        entry = {
+            "label": self.label,
+            "duration_s": result.duration_s,
+            "delivered": len(result.delivered),
+            "consumed": result.consumed,
+            "recirculated": result.recirculated_packets,
+            "samples": 0,
+            "series": {},
+            "counters": result.counters,
+        }
+        monitor = getattr(self.telemetry, "monitor", None)
+        if monitor is not None:
+            entry["samples"] = len(monitor)
+            entry["series"] = {
+                name: summary.to_json()
+                for name, summary in monitor.summaries().items()
+            }
+        return entry
+
+
 def write_ledger(path: str | Path, ledger: dict) -> Path:
     """Write a ledger as deterministic JSON; returns the path written.
 

@@ -2,13 +2,14 @@
 
 The paper's §3 arguments are latency arguments — RMT packets pay a
 recirculation and multiplexing tax that the ADCP's central pipelines and
-demuxed ports remove.  PR 1's telemetry can show *that* a run behaved a
-certain way; this module decomposes *where each nanosecond went*.
+demuxed ports remove.  Telemetry can show *that* a run behaved a certain
+way; this module decomposes *where each nanosecond went*.
 
-The profiler consumes a :class:`~repro.telemetry.recorder.TraceRecorder`
-after a run and reconstructs, for every packet that reached a terminal
-state (delivered or consumed), an exact tiling of its lifetime
-``[origin, end]`` by **segments**:
+The profiler folds one switch's span records
+(:class:`~repro.telemetry.spans.SpanRecord`), recorded with every packet
+sampled (``sample=1``), into an exact tiling of each terminal (delivered
+or consumed) packet's lifetime ``[origin, end]``, one record per
+**tile**:
 
 ==================== ==============================================
 bucket               meaning
@@ -25,14 +26,18 @@ bucket               meaning
 ``egress_serial``    TX-port queueing plus wire serialization
 ==================== ==============================================
 
-**Exactness.**  Every segment boundary is a float the simulator itself
-computed and passed downstream (the instrumented spans carry ``ready_s``
-/ ``exit_s`` / ``deliver_s`` / ``departure_s`` verbatim), so consecutive
-segments share bit-identical boundaries.  The profiler *verifies* the
-tiling — any gap or overlap raises — and accounts durations in exact
-rational arithmetic (:class:`fractions.Fraction` represents every float
-exactly), so per-component attribution sums to the end-to-end latency
-with **zero** residual, not residual-up-to-rounding.
+Hop records carry six of the buckets.  The recorder's per-switch
+:class:`~repro.telemetry.spans.SpanMarks` add the other two
+(``recirculation`` and ``merge_wait`` tiles), the consumed packets'
+ends, and the multicast copies' parents.
+
+**Exactness.**  Every tile boundary is a float the simulator itself
+computed and passed downstream, recorded verbatim, so consecutive tiles
+share bit-identical boundaries.  The profiler *verifies* the tiling —
+any gap or overlap raises — and accounts durations in exact rational
+arithmetic (:class:`fractions.Fraction` represents every float exactly),
+so per-component attribution sums to the end-to-end latency with
+**zero** residual, not residual-up-to-rounding.
 """
 
 from __future__ import annotations
@@ -40,11 +45,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 from ..errors import SimulationError
 from ..sim.stats import Histogram
-from .recorder import TraceRecorder
+from .spans import SpanMarks, SpanRecord, SpanRecorder
 
 #: Attribution buckets, in pipeline order (presentation order for tables).
 BUCKETS = (
@@ -62,42 +66,24 @@ BUCKETS = (
 QUEUE_BUCKETS = frozenset({"ingress_queue", "tm_queue", "merge_wait"})
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One tile of a packet's lifetime: ``[start_s, end_s]`` spent in
-    ``bucket`` at concrete component ``component``."""
-
-    packet_id: int
-    start_s: float
-    end_s: float
-    bucket: str
-    component: str
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
-    def exact_duration(self) -> Fraction:
-        """Duration in exact rational arithmetic."""
-        return Fraction(self.end_s) - Fraction(self.start_s)
-
-
 @dataclass
 class PacketProfile:
     """One packet's fully attributed lifetime.
 
+    ``packet_id`` is run-relative, like the span records'.  ``segments``
+    are the tiles in time order (a record's ``hop`` is its bucket).
     ``components`` maps bucket name to attributed seconds; ``instances``
     maps concrete component paths (``"rmt.tm"``, ``"adcp.central2"``) to
     per-bucket seconds.  ``unattributed_s`` is the exact residual between
     the end-to-end latency and the attribution sum — 0.0 whenever the
-    segment tiling verified, by construction.
+    tiling verified, by construction.
     """
 
     packet_id: int
     terminal: str  # "delivered" | "consumed"
     origin_s: float
     end_s: float
-    segments: list[Segment]
+    segments: list[SpanRecord]
     components: dict[str, float] = field(default_factory=dict)
     instances: dict[str, dict[str, float]] = field(default_factory=dict)
     recirculations: int = 0
@@ -108,264 +94,121 @@ class PacketProfile:
         return self.end_s - self.origin_s
 
 
-class _PacketEvents:
-    """The per-packet event shoebox the extractor fills."""
-
-    __slots__ = (
-        "pipeline",
-        "tm_admits",
-        "merge_offers",
-        "merge_releases",
-        "recircs",
-        "tx",
-        "delivered",
-        "consumed",
-        "parent",
-    )
-
-    def __init__(self) -> None:
-        self.pipeline: list = []
-        self.tm_admits: list = []
-        self.merge_offers: list[float] = []
-        self.merge_releases: list[float] = []
-        self.recircs: list = []
-        self.tx: list = []
-        self.delivered = None
-        self.consumed = None
-        self.parent: int | None = None
+#: Queue hops open a pipeline pass: queue, parse, match_action.
+_PASS_OPENERS = frozenset({"ingress_queue", "tm_queue"})
 
 
-def _collect(events: Iterable) -> dict[int, _PacketEvents]:
-    """Sort the flat event stream into per-packet shoeboxes."""
-    boxes: dict[int, _PacketEvents] = {}
+def _tiles_of(
+    records: list[SpanRecord], waits: list[SpanRecord]
+) -> list[SpanRecord]:
+    """One packet's tiles on one switch, unsorted.
 
-    def box(packet_id: int) -> _PacketEvents:
-        if packet_id not in boxes:
-            boxes[packet_id] = _PacketEvents()
-        return boxes[packet_id]
-
-    for event in events:
-        if event.packet_id is None:
-            continue
-        name = event.name
-        if name == "pipeline.service":
-            box(event.packet_id).pipeline.append(event)
-        elif name == "tm.admit":
-            box(event.packet_id).tm_admits.append(event)
-        elif name == "merge.offer":
-            box(event.packet_id).merge_offers.append(event.time_s)
-        elif name == "merge.release":
-            box(event.packet_id).merge_releases.append(event.time_s)
-        elif name == "packet.recirculated":
-            box(event.packet_id).recircs.append(event)
-        elif name == "port.tx":
-            box(event.packet_id).tx.append(event)
-        elif name == "packet.delivered":
-            box(event.packet_id).delivered = event
-        elif name == "packet.consumed":
-            box(event.packet_id).consumed = event
-        elif name == "packet.replicated":
-            box(event.packet_id).parent = event.args.get("parent_id")
-    return boxes
+    A recirculation detour is one opaque tile: every hop recorded inside
+    it (TM crossing, egress pass, loopback serialization) is dropped.  A
+    pipeline pass is tested as a whole, because the re-entry pass's
+    zero-length queue hop starts exactly at the re-arrival time and
+    belongs after the detour.
+    """
+    detours = [
+        (wait.start_s, wait.end_s)
+        for wait in waits
+        if wait.hop == "recirculation"
+    ]
+    tiles = list(waits)
+    index = 0
+    while index < len(records):
+        width = 3 if records[index].hop in _PASS_OPENERS else 1
+        start = records[index].start_s
+        end = records[index + width - 1].end_s
+        if not any(start >= lo and end <= hi for lo, hi in detours):
+            tiles.extend(records[index:index + width])
+        index += width
+    return tiles
 
 
-def _require(event, key: str):
-    try:
-        return event.args[key]
-    except KeyError:
-        raise SimulationError(
-            f"trace event {event.name!r} (seq {event.seq}) lacks the "
-            f"{key!r} span boundary; the profiler needs traces recorded "
-            f"by this version of the simulators"
-        ) from None
-
-
-def _segments_of(packet_id: int, box: _PacketEvents) -> list[Segment]:
-    """Raw segments for one packet, before detour filtering."""
-    segments: list[Segment] = []
-
-    # Recirculation detours first: each is one opaque tile, and every
-    # other segment the simulator emitted inside it (TM crossing, egress
-    # pass, loopback serialization) is subsumed by it.
-    detours: list[tuple[float, float]] = []
-    for event in box.recircs:
-        re_arrival = _require(event, "re_arrival_s")
-        pipeline = event.args.get("pipeline", "")
-        detours.append((event.time_s, re_arrival))
-        segments.append(
-            Segment(
-                packet_id,
-                event.time_s,
-                re_arrival,
-                "recirculation",
-                f"{event.component}.recirc{pipeline}",
-            )
-        )
-
-    def in_detour(start: float, end: float) -> bool:
-        return any(start >= lo and end <= hi for lo, hi in detours)
-
-    for event in box.pipeline:
-        ready = _require(event, "ready_s")
-        start = event.time_s
-        exit_s = _require(event, "exit_s")
-        if in_detour(ready, exit_s):
-            continue
-        parse_end = start + _require(event, "parse_s")
-        queue_bucket = (
-            "ingress_queue" if event.args.get("region") == "ingress"
-            else "tm_queue"
-        )
-        segments.append(
-            Segment(packet_id, ready, start, queue_bucket, event.component)
-        )
-        segments.append(
-            Segment(packet_id, start, parse_end, "parse", event.component)
-        )
-        segments.append(
-            Segment(packet_id, parse_end, exit_s, "match_action", event.component)
-        )
-
-    for event in box.tm_admits:
-        deliver = _require(event, "deliver_s")
-        if in_detour(event.time_s, deliver):
-            continue
-        segments.append(
-            Segment(packet_id, event.time_s, deliver, "tm_service", event.component)
-        )
-
-    for event in box.tx:
-        ready = _require(event, "ready_s")
-        departure = _require(event, "departure_s")
-        if in_detour(ready, departure):
-            continue
-        segments.append(
-            Segment(packet_id, ready, departure, "egress_serial", event.component)
-        )
-
-    # Merge waits pair chronologically (a packet is offered at most once
-    # per pass, and passes do not overlap).
-    if len(box.merge_offers) != len(box.merge_releases):
-        raise SimulationError(
-            f"packet {packet_id}: {len(box.merge_offers)} merge offers vs "
-            f"{len(box.merge_releases)} releases; merge trace is incomplete"
-        )
-    for offered, released in zip(
-        sorted(box.merge_offers), sorted(box.merge_releases)
-    ):
-        segments.append(
-            Segment(packet_id, offered, released, "merge_wait", "merge")
-        )
-
-    return segments
-
-
-def _tile(packet_id: int, segments: list[Segment]) -> list[Segment]:
-    """Sort segments and verify they tile an interval exactly."""
-    ordered = sorted(segments, key=lambda s: (s.start_s, s.end_s))
+def _tile(packet_id: int, tiles: list[SpanRecord]) -> list[SpanRecord]:
+    """Sort tiles and verify they tile an interval exactly."""
+    ordered = sorted(tiles, key=lambda t: (t.start_s, t.end_s))
     for previous, current in zip(ordered, ordered[1:]):
         if current.start_s != previous.end_s:
             kind = "gap" if current.start_s > previous.end_s else "overlap"
             raise SimulationError(
                 f"packet {packet_id}: {kind} between "
-                f"{previous.bucket}@{previous.component} ending at "
-                f"{previous.end_s!r} and {current.bucket}@{current.component} "
+                f"{previous.hop}@{previous.component} ending at "
+                f"{previous.end_s!r} and {current.hop}@{current.component} "
                 f"starting at {current.start_s!r}; attribution would not be "
                 f"exact"
             )
     return ordered
 
 
-def _retag_tm_queues(ordered: list[Segment]) -> list[Segment]:
-    """Attribute TM-buffer waits to the TM the packet sat in.
-
-    A ``tm_queue`` segment is emitted by the *downstream* pipeline (it is
-    that pipeline's FIFO wait), but the packet physically occupies the
-    upstream TM's shared buffer for its duration.  The tiling makes the
-    upstream identifiable: the segment immediately before a TM-buffer
-    wait is that TM's service span.
-    """
-    out: list[Segment] = []
-    for index, segment in enumerate(ordered):
-        if segment.bucket == "tm_queue" and index > 0:
-            previous = out[index - 1]
-            if previous.bucket == "tm_service":
-                segment = Segment(
-                    segment.packet_id,
-                    segment.start_s,
-                    segment.end_s,
-                    segment.bucket,
-                    previous.component,
-                )
-        out.append(segment)
-    return out
-
-
 #: Replication-lineage depth bound (a copy of a copy of ...).
 _MAX_LINEAGE = 32
 
 
-def _lineage_segments(
-    packet_id: int, boxes: dict[int, _PacketEvents], depth: int = 0
-) -> list[Segment]:
-    """Segments for a packet, prepending its replication ancestry.
+def _lineage_tiles(
+    packet_id: int,
+    tiles: dict[int, list[SpanRecord]],
+    parents: dict[int, int],
+    depth: int = 0,
+) -> list[SpanRecord]:
+    """Tiles for a packet, prepending its replication ancestry.
 
-    A multicast copy's trace starts at its ``tm.admit``, but the packet's
-    journey started when its replication parent entered the switch; the
-    parent's own tiling ends exactly at the replication instant, so
-    prepending it extends the copy's lifetime seamlessly.
+    A multicast copy's records start at its TM admission, but the
+    packet's journey started when its replication parent entered the
+    switch; the parent's own tiling ends exactly at the replication
+    instant, so prepending it extends the copy's lifetime seamlessly.
     """
     if depth > _MAX_LINEAGE:
         raise SimulationError(
             f"packet {packet_id}: replication lineage deeper than "
-            f"{_MAX_LINEAGE}; the trace parent links likely form a cycle"
+            f"{_MAX_LINEAGE}; the parent marks likely form a cycle"
         )
-    box = boxes.get(packet_id)
-    if box is None:
-        # A parent with no traced events of its own: an emission that was
-        # replicated the instant it was born.  The lineage starts here.
-        return []
-    segments = _segments_of(packet_id, box)
-    if box.parent is not None:
-        segments = _lineage_segments(box.parent, boxes, depth + 1) + segments
-    return segments
+    # A parent with no records of its own was replicated the instant it
+    # was born: the lineage starts here.
+    own = tiles.get(packet_id, [])
+    parent = parents.get(packet_id)
+    if parent is not None:
+        return _lineage_tiles(parent, tiles, parents, depth + 1) + own
+    return own
 
 
 def _profile_packet(
-    packet_id: int, box: _PacketEvents, boxes: dict[int, _PacketEvents]
+    packet_id: int, tiles: dict[int, list[SpanRecord]], marks: SpanMarks
 ) -> PacketProfile | None:
-    """Build one packet's profile, or None for non-terminal packets."""
-    if box.delivered is not None:
+    """Build one packet's profile, or None for non-terminal packets.
+
+    A delivered packet ends at its egress serialization (one outside any
+    detour); a consumed one at its mark.
+    """
+    serial = [t for t in tiles[packet_id] if t.hop == "egress_serial"]
+    if serial:
         terminal = "delivered"
-        end_s = _require(box.delivered, "departure_s")
-    elif box.consumed is not None:
+        end_s = serial[-1].end_s
+    elif packet_id in marks.consumed:
         terminal = "consumed"
-        end_s = box.consumed.time_s
+        end_s = marks.consumed[packet_id]
     else:
         return None
 
-    segments = _lineage_segments(packet_id, boxes)
-    if not segments:
-        # A consumed packet with no spans (e.g. a merge-absorbed flush
-        # marker): its whole observable life is the terminal instant.
-        segments = [Segment(packet_id, end_s, end_s, "match_action", "")]
-    ordered = _retag_tm_queues(_tile(packet_id, segments))
-
+    ordered = _tile(
+        packet_id, _lineage_tiles(packet_id, tiles, marks.parents)
+    )
     origin_s = ordered[0].start_s
     if ordered[-1].end_s != end_s:
         raise SimulationError(
-            f"packet {packet_id}: last segment ends at "
+            f"packet {packet_id}: last tile ends at "
             f"{ordered[-1].end_s!r} but the packet reached its terminal "
             f"state at {end_s!r}"
         )
 
     exact: dict[str, Fraction] = {}
     instances: dict[str, dict[str, Fraction]] = {}
-    for segment in ordered:
-        duration = segment.exact_duration()
-        exact[segment.bucket] = exact.get(segment.bucket, Fraction(0)) + duration
-        per = instances.setdefault(segment.component, {})
-        per[segment.bucket] = per.get(segment.bucket, Fraction(0)) + duration
+    for tile in ordered:
+        duration = Fraction(tile.end_s) - Fraction(tile.start_s)
+        exact[tile.hop] = exact.get(tile.hop, Fraction(0)) + duration
+        per = instances.setdefault(tile.component, {})
+        per[tile.hop] = per.get(tile.hop, Fraction(0)) + duration
 
     residual = Fraction(end_s) - Fraction(origin_s) - sum(exact.values())
     return PacketProfile(
@@ -379,11 +222,26 @@ def _profile_packet(
             path: {bucket: float(v) for bucket, v in per.items()}
             for path, per in instances.items()
         },
-        recirculations=sum(
-            1 for s in ordered if s.bucket == "recirculation"
-        ),
+        recirculations=sum(1 for t in ordered if t.hop == "recirculation"),
         unattributed_s=float(residual),
     )
+
+
+def _add_residencies(
+    records: list[SpanRecord], residencies: dict[str, list[float]]
+) -> None:
+    """One packet's TM residencies: each ``tm_service`` start to the end
+    of its next ``match_action``, the downstream pass where the switch
+    releases the packet from that TM."""
+    admitted = None
+    for record in records:
+        if record.hop == "tm_service":
+            admitted = record
+        elif record.hop == "match_action" and admitted is not None:
+            residencies.setdefault(admitted.component, []).append(
+                record.end_s - admitted.start_s
+            )
+            admitted = None
 
 
 class RunProfile:
@@ -397,11 +255,14 @@ class RunProfile:
             when it spent time there).
         latency: Histogram of end-to-end latency across all profiled
             packets; its count equals delivered + consumed.
+        residencies: Per-TM residencies (admission to release) of every
+            packet with records, terminal or not: Little's law's W.
     """
 
     def __init__(self, label: str = "run") -> None:
         self.label = label
         self.packets: dict[int, PacketProfile] = {}
+        self.residencies: dict[str, list[float]] = {}
         self.histograms: dict[str, Histogram] = {
             bucket: Histogram(f"{label}.attribution.{bucket}")
             for bucket in BUCKETS
@@ -487,52 +348,57 @@ class RunProfile:
 
 
 def profile_run(
-    recorder: TraceRecorder, label: str = "run"
+    recorder: SpanRecorder, switch: str, label: str | None = None
 ) -> RunProfile:
-    """Attribute every terminal packet's latency from a recorded trace.
+    """Attribute every terminal packet's latency on ``switch``.
 
-    The recorder must retain the complete event stream (no ring
-    overwrites) and must have been produced by the instrumented
-    simulators with span boundaries enabled (any telemetry-on run).
+    Folds the records and marks ``recorder`` holds for that switch name.
+    Recorded with every packet sampled (``sample=1``, as ``repro
+    profile`` and ``repro monitor`` do), the profile covers every packet
+    the switch saw; at 1-in-N it covers the sampled ones.  Packets fold
+    in ascending run-relative id, the order of their absolute ids.
     """
-    if recorder.overwritten:
-        raise SimulationError(
-            f"trace ring overwrote {recorder.overwritten} events; "
-            f"attribution needs the complete stream — raise the recorder "
-            f"capacity (the CLI uses 2**20)"
-        )
-    run = RunProfile(label)
-    boxes = _collect(recorder)
-    for packet_id, box in sorted(boxes.items()):
-        profile = _profile_packet(packet_id, box, boxes)
+    run = RunProfile(switch if label is None else label)
+    marks = recorder.marks.get(switch) or SpanMarks()
+    hops: dict[int, list[SpanRecord]] = {}
+    for record in recorder.records:
+        if record.switch == switch:
+            hops.setdefault(record.packet, []).append(record)
+    tiles = {
+        packet: _tiles_of(records, marks.waits.get(packet, []))
+        for packet, records in hops.items()
+    }
+    for packet in sorted(hops):
+        _add_residencies(hops[packet], run.residencies)
+        profile = _profile_packet(packet, tiles, marks)
         if profile is not None:
             run.add(profile)
     return run
 
 
 def profile_chrome_events(run: RunProfile, pid: str | None = None) -> list[dict]:
-    """Attribution segments as Chrome trace-event ``X`` slices.
+    """Attribution tiles as Chrome trace-event ``X`` slices.
 
     One lane per bucket (``tid``), so the Perfetto timeline shows where
-    simultaneous packets sat.  Combine with the raw telemetry events via
-    :func:`~repro.telemetry.exporters.chrome_trace_events`.
+    simultaneous packets sat.  Combine with the monitor's counter tracks
+    (:meth:`~repro.telemetry.monitor.ResourceMonitor.chrome_counter_events`).
     """
     out: list[dict] = []
     process = pid or f"{run.label}-attribution"
     for profile in run.packets.values():
-        for segment in profile.segments:
+        for tile in profile.segments:
             out.append(
                 {
-                    "name": segment.bucket,
+                    "name": tile.hop,
                     "cat": "attribution",
                     "ph": "X",
                     "pid": process,
-                    "tid": segment.bucket,
-                    "ts": segment.start_s * 1e6,
-                    "dur": segment.duration_s * 1e6,
+                    "tid": tile.hop,
+                    "ts": tile.start_s * 1e6,
+                    "dur": tile.duration_s * 1e6,
                     "args": {
-                        "packet_id": segment.packet_id,
-                        "component": segment.component,
+                        "packet_id": tile.packet,
+                        "component": tile.component,
                     },
                 }
             )

@@ -1,10 +1,13 @@
-"""Traced reference workloads: ``python -m repro trace <workload>``.
+"""Reference workloads for ``python -m repro trace|profile|monitor``.
 
-Each workload builds one or two instrumented switches, runs a small
-self-checking experiment with telemetry enabled, cross-checks the trace
-against the run's terminal counters (delivered and recirculated packets
-must match event-for-event), and exports a combined Chrome trace-event
-JSON timeline plus a plain-text report.
+Each workload builds one or two instrumented switches and runs a small
+self-checking experiment.  ``trace`` records every event and
+cross-checks the stream against the run's terminal counters (delivered
+and recirculated packets must match event-for-event), then exports a
+Chrome trace-event timeline plus a plain-text report.  ``profile`` and
+``monitor`` record no trace event: every hub carries a resource monitor,
+one span recorder samples every packet, and latency attribution is a
+fold over each switch's span records.
 """
 
 from __future__ import annotations
@@ -16,45 +19,13 @@ from ..errors import ConfigError, SimulationError
 from ..units import GBPS
 from .events import Category
 from .exporters import chrome_trace_events, text_report, write_chrome_trace
+from .ledger import SwitchSection
 from .monitor import DEFAULT_INTERVAL_NS, ResourceMonitor
 from .session import Telemetry
 
-#: Ring depth for CLI traces: large enough that the reference workloads
+#: Ring depth for ``trace``: large enough that the reference workloads
 #: never wrap, so the consistency checks can be exact.
 _CLI_CAPACITY = 1 << 20
-
-
-@dataclass
-class TraceSection:
-    """One traced switch run within a workload."""
-
-    label: str
-    telemetry: Telemetry
-    result: object  # SwitchRunResult
-
-    def consistency_errors(self) -> list[str]:
-        """Cross-check the event stream against the terminal counters."""
-        errors: list[str] = []
-        trace = self.telemetry.trace
-        if trace.overwritten:
-            errors.append(
-                f"{self.label}: ring overwrote {trace.overwritten} events; "
-                f"counts are not exact"
-            )
-            return errors
-        delivered_events = trace.count(name="packet.delivered")
-        if delivered_events != len(self.result.delivered):
-            errors.append(
-                f"{self.label}: {delivered_events} packet.delivered events "
-                f"vs {len(self.result.delivered)} delivered packets"
-            )
-        recirc_events = trace.count(category=Category.RECIRC)
-        if recirc_events != self.result.recirculated_packets:
-            errors.append(
-                f"{self.label}: {recirc_events} recirculation events vs "
-                f"{self.result.recirculated_packets} recirculated packets"
-            )
-        return errors
 
 
 @dataclass
@@ -63,7 +34,7 @@ class TraceRun:
 
     workload: str
     path: Path
-    sections: list[TraceSection]
+    sections: list[SwitchSection]
     lines: list[str] = field(default_factory=list)
     spans: object | None = None  # SpanRecorder when --sample was given
 
@@ -98,33 +69,26 @@ class TraceRun:
         return out
 
 
-def _make_telemetry(interval_ns: float = DEFAULT_INTERVAL_NS) -> Telemetry:
+def _make_telemetry() -> Telemetry:
     return Telemetry(
-        capacity=_CLI_CAPACITY, monitor=ResourceMonitor(interval_ns)
+        capacity=_CLI_CAPACITY, monitor=ResourceMonitor(DEFAULT_INTERVAL_NS)
     )
-
-
-def _section_chrome_events(section) -> list[dict]:
-    """One section's trace events plus its monitor's counter tracks,
-    both under the section label."""
-    telemetry = section.telemetry
-    events = chrome_trace_events(telemetry.trace, pid=section.label)
-    events.extend(telemetry.monitor.chrome_counter_events(pid=section.label))
-    return events
 
 
 # --- workloads ---------------------------------------------------------------------
 #
 # Each workload factory accepts an optional ``make_telemetry`` so callers
-# can swap the hub configuration (``run_monitor`` passes one whose
-# monitor samples at ``--interval``) without the factories knowing what
-# changed, plus an
-# explicit ``seed``: all randomness flows through ``sim/rng`` from that
-# one number (workloads with no stochastic generator accept it for
-# interface uniformity — campaign sweeps pass seeds unconditionally).
+# can swap the hub configuration (``profile`` and ``monitor`` pass one
+# with a monitor and no trace ring) without the factories knowing what
+# changed, plus an explicit ``seed``: all randomness flows through
+# ``sim/rng`` from that one number (workloads with no stochastic
+# generator accept it for interface uniformity — campaign sweeps pass
+# seeds unconditionally).
 # The optional ``spans`` is a shared SpanRecorder: every switch (and, on
 # fabric workloads, every link) of the run points at it, so sampled
-# packets leave per-hop spans without touching the trace path.
+# packets leave per-hop spans without touching the trace path.  A
+# switch's spans are filed under its own name, except on fabric
+# workloads, where they are filed under the section label.
 
 
 def _trace_paramserver(vector: int):
@@ -139,7 +103,7 @@ def _trace_paramserver(vector: int):
     into recirculation and TM queue-wait.
     """
 
-    def factory(make_telemetry=None, seed=None, spans=None) -> list[TraceSection]:
+    def factory(make_telemetry=None, seed=None, spans=None) -> list[SwitchSection]:
         from ..adcp.config import ADCPConfig
         from ..adcp.switch import ADCPSwitch
         from ..apps import ParameterServerApp
@@ -160,7 +124,7 @@ def _trace_paramserver(vector: int):
         if spans is not None:
             adcp.spans = spans
         adcp_result = adcp.run(adcp_app.workload(adcp_config.port_speed_bps))
-        sections.append(TraceSection("adcp", adcp_tel, adcp_result))
+        sections.append(SwitchSection("adcp", adcp_tel, adcp_result))
 
         rmt_tel = mk()
         rmt_config = RMTConfig(
@@ -172,13 +136,13 @@ def _trace_paramserver(vector: int):
         if spans is not None:
             rmt.spans = spans
         rmt_result = rmt.run(rmt_app.workload(rmt_config.port_speed_bps))
-        sections.append(TraceSection("rmt", rmt_tel, rmt_result))
+        sections.append(SwitchSection("rmt", rmt_tel, rmt_result))
         return sections
 
     return factory
 
 
-def _trace_recirculate(make_telemetry=None, seed=None, spans=None) -> list[TraceSection]:
+def _trace_recirculate(make_telemetry=None, seed=None, spans=None) -> list[SwitchSection]:
     """RMT hosting state by recirculation: every foreign-pipeline packet
     pays a loopback pass (the §2 bandwidth tax, on the timeline)."""
     from ..apps import ParameterServerApp
@@ -196,7 +160,7 @@ def _trace_recirculate(make_telemetry=None, seed=None, spans=None) -> list[Trace
     if spans is not None:
         switch.spans = spans
     result = switch.run(app.workload(config.port_speed_bps))
-    return [TraceSection("rmt-recirculate", telemetry, result)]
+    return [SwitchSection("rmt-recirculate", telemetry, result)]
 
 
 #: Pinned relation seed for the mergejoin reference workload; an
@@ -205,7 +169,7 @@ def _trace_recirculate(make_telemetry=None, seed=None, spans=None) -> list[Trace
 _MERGEJOIN_SEED = 7
 
 
-def _trace_mergejoin(make_telemetry=None, seed=None, spans=None) -> list[TraceSection]:
+def _trace_mergejoin(make_telemetry=None, seed=None, spans=None) -> list[SwitchSection]:
     """TM1's order-preserving merge joining two sorted relations."""
     from ..adcp.config import ADCPConfig
     from ..adcp.switch import ADCPSwitch
@@ -233,7 +197,7 @@ def _trace_mergejoin(make_telemetry=None, seed=None, spans=None) -> list[TraceSe
     result = switch.run(
         app.workload(config.port_speed_bps, relation(80, 40), relation(80, 40))
     )
-    return [TraceSection("adcp-mergejoin", telemetry, result)]
+    return [SwitchSection("adcp-mergejoin", telemetry, result)]
 
 
 def _trace_fabric(workload_name: str):
@@ -242,12 +206,10 @@ def _trace_fabric(workload_name: str):
     switch owns its telemetry hub, so the per-section consistency and
     attribution checks hold switch-by-switch)."""
 
-    def factory(make_telemetry=None, seed=None, spans=None) -> list[TraceSection]:
-        from dataclasses import replace
-
+    def factory(make_telemetry=None, seed=None, spans=None) -> list[SwitchSection]:
         from ..fabric import run_fabric
 
-        sections: list[TraceSection] = []
+        sections: list[SwitchSection] = []
         for target in ("adcp", "rmt"):
             first_record = len(spans.records) if spans is not None else 0
             run = run_fabric(
@@ -259,16 +221,11 @@ def _trace_fabric(workload_name: str):
                 spans=spans,
             )
             if spans is not None:
-                # Both targets share switch names (leaf0, spine0, ...);
-                # prefix this run's records so the span tracks stay
-                # distinct, matching the section labels below.
-                records = spans.records
-                for i in range(first_record, len(records)):
-                    records[i] = replace(
-                        records[i], switch=f"{target}-{records[i].switch}"
-                    )
+                # Both targets share switch names (leaf0, spine0, ...):
+                # file this run's spans under the section labels below.
+                spans.prefix_switches(f"{target}-", first_record)
             sections.extend(
-                TraceSection(
+                SwitchSection(
                     f"{target}-{section.label}",
                     section.telemetry,
                     section.result,
@@ -285,18 +242,15 @@ def _trace_stateful(workload: str):
     single-switch runs (see :mod:`repro.stateful.runner`), one section
     per target."""
 
-    def factory(make_telemetry=None, seed=None, spans=None) -> list[TraceSection]:
+    def factory(make_telemetry=None, seed=None, spans=None) -> list[SwitchSection]:
         from ..stateful.runner import single_trace_sections
 
-        return [
-            TraceSection(label, telemetry, result)
-            for label, telemetry, result in single_trace_sections(
-                workload,
-                make_telemetry=make_telemetry or _make_telemetry,
-                seed=0 if seed is None else seed,
-                spans=spans,
-            )
-        ]
+        return single_trace_sections(
+            workload,
+            make_telemetry=make_telemetry or _make_telemetry,
+            seed=0 if seed is None else seed,
+            spans=spans,
+        )
 
     return factory
 
@@ -315,9 +269,71 @@ TRACEABLE = {
 }
 
 
+def _traceable(workload: str, command: str):
+    """The factory of a ``trace``/``profile``/``monitor`` workload."""
+    if workload not in TRACEABLE:
+        raise ConfigError(
+            f"unknown {command} workload {workload!r}; choose from "
+            f"{', '.join(sorted(TRACEABLE))}"
+        )
+    return TRACEABLE[workload]
+
+
+def _profiled_sections(
+    workload: str, command: str, seed: int | None, interval_ns: float
+) -> list[tuple[SwitchSection, object]]:
+    """Run ``workload`` for ``profile``/``monitor`` and attribute it.
+
+    Every hub carries a monitor on the ``interval_ns`` grid and no trace
+    ring; one span recorder samples every packet.  Returns each section
+    with its :class:`~repro.telemetry.profiler.RunProfile`, after
+    checking that every profiled packet's attribution sums exactly
+    (bit-exact, not within-epsilon) to its end-to-end latency.
+    """
+    from .profiler import profile_run
+    from .sampler import SpanSampler
+    from .spans import SpanRecorder
+
+    factory = _traceable(workload, command)
+    spans = SpanRecorder(
+        SpanSampler(seed=0 if seed is None else seed, sample=1)
+    )
+    sections = factory(
+        make_telemetry=lambda: Telemetry.at_level(
+            "counters", interval_ns=interval_ns
+        ),
+        seed=seed,
+        spans=spans,
+    )
+    recorded = {record.switch for record in spans.records}
+    out = []
+    for section in sections:
+        # Fabric factories file spans under the section label; the
+        # single-switch ones under the switch's own name.
+        switch = (
+            section.label
+            if section.label in recorded
+            else section.telemetry.switch.name
+        )
+        profile = profile_run(spans, switch, label=section.label)
+        leaky = [
+            p for p in profile.packets.values() if p.unattributed_s != 0.0
+        ]
+        if leaky:
+            worst = max(leaky, key=lambda p: abs(p.unattributed_s))
+            raise SimulationError(
+                f"{section.label}: {len(leaky)} packets with "
+                f"unattributed time (worst: packet {worst.packet_id}, "
+                f"{worst.unattributed_s * 1e9:.3f} ns); the attribution "
+                f"model no longer tiles this workload"
+            )
+        out.append((section, profile))
+    return out
+
+
 @dataclass
 class ProfileSection:
-    """One profiled switch run: trace, attribution, bottleneck report."""
+    """One profiled switch run: monitor, attribution, bottleneck report."""
 
     label: str
     telemetry: Telemetry
@@ -362,12 +378,17 @@ class ProfileRun:
         return out
 
     def chrome_events(self) -> list[dict]:
-        """Raw telemetry plus attribution lanes, one process per section."""
+        """Monitor counter tracks plus attribution lanes, one process
+        per section."""
         from .profiler import profile_chrome_events
 
         events: list[dict] = []
         for section in self.sections:
-            events.extend(_section_chrome_events(section))
+            events.extend(
+                section.telemetry.monitor.chrome_counter_events(
+                    pid=section.label
+                )
+            )
             events.extend(profile_chrome_events(section.profile))
         return events
 
@@ -377,54 +398,34 @@ def run_profile(
     chrome_out: str | Path | None = None,
     seed: int | None = None,
 ) -> ProfileRun:
-    """Run ``workload`` traced, then attribute every packet's latency.
+    """Run ``workload`` and attribute every packet's latency.
 
-    Profiles the same registry of workloads as :func:`run_trace`.  Every
-    profiled packet's attribution is checked to sum exactly (bit-exact,
-    not within-epsilon) to its end-to-end latency; any residual raises.
-    When the workload runs both architectures, the mean-latency gap is
+    Profiles the same registry of workloads as :func:`run_trace` but
+    records no trace event: the attribution folds span records sampled
+    1-in-1 (:func:`_profiled_sections`), and any residual raises.  When
+    the workload runs both architectures, the mean-latency gap is
     decomposed into per-bucket shares.  ``chrome_out`` additionally
-    writes a Chrome trace with per-bucket attribution lanes.
+    writes a Chrome trace with per-bucket attribution lanes and the
+    monitor's counter tracks.
     """
     from .attribution import AttributionTable, analyze_bottlenecks, attribution_gap
-    from .profiler import profile_run as _profile_run
 
-    if workload not in TRACEABLE:
-        raise ConfigError(
-            f"unknown profile workload {workload!r}; choose from "
-            f"{', '.join(sorted(TRACEABLE))}"
-        )
-    sections = []
-    for trace_section in TRACEABLE[workload](seed=seed):
-        profile = _profile_run(
-            trace_section.telemetry.trace, label=trace_section.label
-        )
-        leaky = [
-            p for p in profile.packets.values() if p.unattributed_s != 0.0
-        ]
-        if leaky:
-            worst = max(leaky, key=lambda p: abs(p.unattributed_s))
-            raise SimulationError(
-                f"{trace_section.label}: {len(leaky)} packets with "
-                f"unattributed time (worst: packet {worst.packet_id}, "
-                f"{worst.unattributed_s * 1e9:.3f} ns); the attribution "
-                f"model no longer tiles this workload"
-            )
-        report = analyze_bottlenecks(
+    sections = [
+        ProfileSection(
+            section.label,
+            section.telemetry,
+            section.result,
             profile,
-            trace_section.telemetry.trace,
-            trace_section.telemetry.monitor,
-            duration_s=trace_section.result.duration_s,
-        )
-        sections.append(
-            ProfileSection(
-                trace_section.label,
-                trace_section.telemetry,
-                trace_section.result,
+            analyze_bottlenecks(
                 profile,
-                report,
-            )
+                section.telemetry.monitor,
+                duration_s=section.result.duration_s,
+            ),
         )
+        for section, profile in _profiled_sections(
+            workload, "profile", seed, DEFAULT_INTERVAL_NS
+        )
+    ]
 
     run = ProfileRun(workload, sections)
     run.lines.append(f"profile workload {workload!r}")
@@ -461,6 +462,31 @@ def run_profile(
     return run
 
 
+def _consistency_errors(section: SwitchSection) -> list[str]:
+    """Cross-check a traced section's event stream against its terminal
+    counters."""
+    trace = section.telemetry.trace
+    if trace.overwritten:
+        return [
+            f"{section.label}: ring overwrote {trace.overwritten} events; "
+            f"counts are not exact"
+        ]
+    errors: list[str] = []
+    delivered_events = trace.count(name="packet.delivered")
+    if delivered_events != len(section.result.delivered):
+        errors.append(
+            f"{section.label}: {delivered_events} packet.delivered events "
+            f"vs {len(section.result.delivered)} delivered packets"
+        )
+    recirc_events = trace.count(category=Category.RECIRC)
+    if recirc_events != section.result.recirculated_packets:
+        errors.append(
+            f"{section.label}: {recirc_events} recirculation events vs "
+            f"{section.result.recirculated_packets} recirculated packets"
+        )
+    return errors
+
+
 def run_trace(
     workload: str,
     out: str | Path | None = None,
@@ -479,11 +505,7 @@ def run_trace(
     into the exported timeline — here the spans ride *alongside* the full
     trace; under ``sampled`` telemetry they are what remains of it.
     """
-    if workload not in TRACEABLE:
-        raise ConfigError(
-            f"unknown trace workload {workload!r}; choose from "
-            f"{', '.join(sorted(TRACEABLE))}"
-        )
+    factory = _traceable(workload, "trace")
     spans = None
     if sample is not None:
         from .sampler import SpanSampler
@@ -492,11 +514,11 @@ def run_trace(
         spans = SpanRecorder(
             SpanSampler(seed=0 if seed is None else seed, sample=sample)
         )
-    sections = TRACEABLE[workload](seed=seed, spans=spans)
+    sections = factory(seed=seed, spans=spans)
 
     errors: list[str] = []
     for section in sections:
-        errors.extend(section.consistency_errors())
+        errors.extend(_consistency_errors(section))
     if errors:
         raise SimulationError(
             "trace/counter mismatch: " + "; ".join(errors)
@@ -504,7 +526,11 @@ def run_trace(
 
     events: list[dict] = []
     for section in sections:
-        events.extend(_section_chrome_events(section))
+        telemetry = section.telemetry
+        events.extend(chrome_trace_events(telemetry.trace, pid=section.label))
+        events.extend(
+            telemetry.monitor.chrome_counter_events(pid=section.label)
+        )
     if spans is not None:
         from .spans import span_chrome_events
 
@@ -601,55 +627,42 @@ def run_monitor(
 
     The ledger (default ``ledger_<workload>.json``) embeds per-section
     series summaries, the latency-attribution table, and the Little's-law
-    cross-check of each TM's sampled occupancy against λW from the trace
-    (informational, same posture as the bottleneck report: the two sides
-    read different clocks, so heavy TM queueing flags a mismatch; see
-    :class:`~repro.telemetry.attribution.LittlesLawCheck`).  ``csv_out``
-    additionally dumps the full columnar time-series; ``chrome_out``
-    writes the telemetry timeline with the monitor's counter tracks
-    merged in.
+    cross-check of each TM's sampled occupancy against λW from the span
+    records (informational, same posture as the bottleneck report: the
+    two sides read different clocks, so heavy TM queueing flags a
+    mismatch; see :class:`~repro.telemetry.attribution.LittlesLawCheck`).
+    Like ``profile``, the run records no trace event
+    (:func:`_profiled_sections`).  ``csv_out`` additionally dumps the
+    full columnar time-series; ``chrome_out`` writes the monitor's
+    counter tracks.
     """
     from .attribution import AttributionTable, monitor_littles_checks
     from .ledger import build_ledger, write_ledger
-    from .profiler import profile_run as _profile_run
 
-    if workload not in TRACEABLE:
-        raise ConfigError(
-            f"unknown monitor workload {workload!r}; choose from "
-            f"{', '.join(sorted(TRACEABLE))}"
-        )
     if interval_ns is None:
         interval_ns = DEFAULT_INTERVAL_NS
 
     sections: list[MonitorSection] = []
-    for trace_section in TRACEABLE[workload](
-        make_telemetry=lambda: _make_telemetry(interval_ns), seed=seed
+    for section, profile in _profiled_sections(
+        workload, "monitor", seed, interval_ns
     ):
-        monitor = trace_section.telemetry.monitor
-        profile = _profile_run(
-            trace_section.telemetry.trace, label=trace_section.label
-        )
-        attribution = AttributionTable(profile).to_json()
-        littles = monitor_littles_checks(
-            trace_section.telemetry.trace,
-            monitor,
-            trace_section.result.duration_s,
-        )
+        monitor = section.telemetry.monitor
         sections.append(
             MonitorSection(
-                trace_section.label,
-                trace_section.telemetry,
-                trace_section.result,
+                section.label,
+                section.telemetry,
+                section.result,
                 monitor,
-                attribution,
-                littles,
+                AttributionTable(profile).to_json(),
+                monitor_littles_checks(
+                    profile, monitor, section.result.duration_s
+                ),
             )
         )
 
     ledger = build_ledger(
         workload=workload,
         interval_ns=interval_ns,
-        config={"trace_capacity": _CLI_CAPACITY},
         sections=[
             {
                 "label": s.label,
@@ -721,7 +734,9 @@ def run_monitor(
     if chrome_out is not None:
         events: list[dict] = []
         for section in sections:
-            events.extend(_section_chrome_events(section))
+            events.extend(
+                section.monitor.chrome_counter_events(pid=section.label)
+            )
         run.chrome_path = write_chrome_trace(chrome_out, events)
         run.lines.append(
             f"  chrome trace with monitor counters -> {run.chrome_path}"

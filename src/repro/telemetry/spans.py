@@ -2,21 +2,24 @@
 
 A *span* is the causal trace of one sampled packet: every hop it (and
 every ``OP_RESULT`` emission it triggers) takes through the fabric —
-ingress queueing, parse, match/action, traffic-manager residency, egress
-serialization, link flight — each recorded as one :class:`SpanRecord`
-with exact simulated-time boundaries.  Sampling is decided once at
-injection (:class:`~repro.telemetry.sampler.SpanSampler`); the span id
-rides in ``PacketMetadata.span``, survives
+ingress queueing, parse, match/action, traffic-manager service and
+queueing, egress serialization, link flight — each recorded as one
+:class:`SpanRecord` with exact simulated-time boundaries and the
+component it was spent at.  Sampling is decided once at injection
+(:class:`~repro.telemetry.sampler.SpanSampler`); the span id rides in
+``PacketMetadata.span``, survives
 :func:`~repro.fabric.link.switch_handoff`'s per-hop meta resets, and is
 inherited by emissions, so one id stitches the whole cross-switch story
 together.
 
-Hop names deliberately reuse PR 3's attribution vocabulary
-(``ingress_queue``/``parse``/``match_action``/``egress_serial``; ``tm``
-lumps ``tm_service``+``tm_queue``) so sampled span totals can be
-reconciled against the bit-exact profiler on small runs — that
-cross-check lives in ``tests/telemetry/test_spans.py``.  ``link`` is
-span-only: the profiler sees one switch at a time, spans see the fabric.
+Switch hops are named after the latency-attribution buckets
+(:data:`repro.telemetry.profiler.BUCKETS`): recorded 1-in-1, one
+switch's records fold into its exact attribution
+(:func:`~repro.telemetry.profiler.profile_run`).  What a hop record
+cannot say — a consumed packet's end, a multicast copy's parent, a
+recirculation detour, a merge wait — the recorder keeps beside the
+records as per-switch :class:`SpanMarks`.  ``link`` is span-only: the
+profiler sees one switch at a time, spans see the fabric.
 
 The recorder costs nothing on unsampled packets beyond the ``is None``
 test each hook already performs.  Like every telemetry level, spans
@@ -25,16 +28,27 @@ only record: they never change the path a packet takes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .ledger import SPAN_LEDGER_SCHEMA, git_sha, write_ledger
 from .sampler import SpanSampler
 
-#: Span hop names, in pipeline order.  The first four map 1:1 onto PR 3
-#: attribution buckets; ``tm`` covers ``tm_service`` + ``tm_queue``;
-#: ``link`` has no single-switch counterpart.
+#: Span hop names, in pipeline order: the attribution buckets a switch
+#: hop lands in, plus ``link``, which has no single-switch counterpart.
 SPAN_HOPS = (
+    "ingress_queue",
+    "parse",
+    "match_action",
+    "tm_service",
+    "tm_queue",
+    "egress_serial",
+    "link",
+)
+
+#: The hops span ledgers and critical paths report: both TM hops roll
+#: up into one ``tm``.
+LEDGER_HOPS = (
     "ingress_queue",
     "parse",
     "match_action",
@@ -44,6 +58,10 @@ SPAN_HOPS = (
 )
 
 
+def _ledger_hop(hop: str) -> str:
+    return "tm" if hop in ("tm_service", "tm_queue") else hop
+
+
 @dataclass(frozen=True, slots=True)
 class SpanRecord:
     """One hop of one sampled packet's life, in simulated seconds."""
@@ -51,9 +69,10 @@ class SpanRecord:
     span: int  # run-relative id of the sampled root packet
     packet: int  # run-relative id of the packet this hop belongs to
     switch: str  # switch name, or link name for ``link`` hops
-    hop: str  # one of SPAN_HOPS
+    hop: str  # one of SPAN_HOPS, or an attribution bucket for a mark
     start_s: float
     end_s: float
+    component: str = ""  # where the time went: pipeline, TM, port, link
 
     @property
     def duration_s(self) -> float:
@@ -67,7 +86,28 @@ class SpanRecord:
             "hop": self.hop,
             "start_s": self.start_s,
             "end_s": self.end_s,
+            "component": self.component,
         }
+
+
+class SpanMarks:
+    """What one switch's hop records leave out about its sampled packets.
+
+    Keys are run-relative packet ids.  ``consumed`` holds the time a hook
+    consumed the packet; ``parents`` the packet a multicast copy was
+    replicated from; ``waits`` the packet's recirculation detours and
+    merge waits, as records that never join
+    :attr:`SpanRecorder.records` (span ledgers digest those hop by hop);
+    ``offered`` a merge offer's time until its release.
+    """
+
+    __slots__ = ("consumed", "parents", "waits", "offered")
+
+    def __init__(self) -> None:
+        self.consumed: dict[int, float] = {}
+        self.parents: dict[int, int] = {}
+        self.waits: dict[int, list[SpanRecord]] = {}
+        self.offered: dict[int, float] = {}
 
 
 class SpanRecorder:
@@ -76,14 +116,16 @@ class SpanRecorder:
     One recorder serves a whole run — every switch and link of a fabric
     points at the same instance (``switch.spans`` / ``link.spans``), so
     records arrive in global dispatch order and the record list is as
-    deterministic as the event kernel itself.
+    deterministic as the event kernel itself.  ``marks`` maps a switch
+    name to its :class:`SpanMarks`.
     """
 
-    __slots__ = ("sampler", "records")
+    __slots__ = ("sampler", "records", "marks")
 
     def __init__(self, sampler: SpanSampler) -> None:
         self.sampler = sampler
         self.records: list[SpanRecord] = []
+        self.marks: dict[str, SpanMarks] = {}
 
     def admit(self, packet) -> bool:
         """Sampling decision at injection; tags ``meta.span`` when sampled."""
@@ -104,10 +146,12 @@ class SpanRecorder:
         hop: str,
         start_s: float,
         end_s: float,
+        component: str,
     ) -> None:
         self.records.append(
             SpanRecord(
-                span, self.relative(packet_id), switch, hop, start_s, end_s
+                span, self.relative(packet_id), switch, hop,
+                start_s, end_s, component,
             )
         )
 
@@ -120,45 +164,113 @@ class SpanRecorder:
         start_s: float,
         parse_s: float,
         exit_s: float,
-        queue_hop: str = "ingress_queue",
+        component: str,
+        tm: str | None = None,
     ) -> None:
-        """Record the three hops of one pipeline service.
+        """Record the three hops of one pipeline service at ``component``.
 
         Boundaries come verbatim from the pipeline's
         :class:`~repro.rmt.pipeline.ServiceRecord` (the floats a traced
-        ``pipeline.service`` event carries), so span totals tile the service
-        window exactly the way the PR 3 profiler does.  ``queue_hop``
-        labels the pre-service wait: ``ingress_queue`` for ingress-region
-        passes, ``tm`` for egress-region passes (the wait for an egress
-        pipeline *is* TM residency — the profiler's ``tm_queue``).
+        ``pipeline.service`` event carries), so the hops tile the service
+        window exactly.  The pre-service wait is ``ingress_queue`` at the
+        pipeline for an ingress pass; after a traffic-manager crossing it
+        is ``tm_queue``, booked to ``tm``, the TM whose buffer holds the
+        packet until this pass starts.
         """
         packet = self.relative(packet_id)
         append = self.records.append
-        append(SpanRecord(span, packet, switch, queue_hop, ready_s, start_s))
-        parse_end = start_s + parse_s
-        append(SpanRecord(span, packet, switch, "parse", start_s, parse_end))
-        append(
-            SpanRecord(span, packet, switch, "match_action", parse_end, exit_s)
+        queue, waited_at = (
+            ("ingress_queue", component) if tm is None else ("tm_queue", tm)
         )
+        append(
+            SpanRecord(span, packet, switch, queue, ready_s, start_s, waited_at)
+        )
+        parse_end = start_s + parse_s
+        append(
+            SpanRecord(
+                span, packet, switch, "parse", start_s, parse_end, component
+            )
+        )
+        append(
+            SpanRecord(
+                span, packet, switch, "match_action",
+                parse_end, exit_s, component,
+            )
+        )
+
+    # --- marks: facts that are no hop, kept beside the records -------------------
+
+    def _marks(self, switch: str) -> SpanMarks:
+        marks = self.marks.get(switch)
+        if marks is None:
+            marks = self.marks[switch] = SpanMarks()
+        return marks
+
+    def mark_consumed(self, switch: str, packet_id: int, time_s: float) -> None:
+        """A hook on ``switch`` consumed the packet at ``time_s``."""
+        self._marks(switch).consumed[self.relative(packet_id)] = time_s
+
+    def mark_parent(self, switch: str, packet_id: int, parent_id: int) -> None:
+        """``switch``'s TM replicated multicast copy ``packet_id`` from
+        ``parent_id``."""
+        self._marks(switch).parents[self.relative(packet_id)] = (
+            self.relative(parent_id)
+        )
+
+    def mark_wait(
+        self,
+        span: int,
+        packet_id: int,
+        switch: str,
+        hop: str,
+        start_s: float,
+        end_s: float,
+        component: str,
+    ) -> None:
+        """A span of the packet's life that is no single hop: a
+        ``recirculation`` detour (whose inner hops stay records) or a
+        ``merge_wait``."""
+        packet = self.relative(packet_id)
+        self._marks(switch).waits.setdefault(packet, []).append(
+            SpanRecord(span, packet, switch, hop, start_s, end_s, component)
+        )
+
+    def mark_offer(self, switch: str, packet_id: int, time_s: float) -> None:
+        """The packet entered ``switch``'s ordered merge at ``time_s``."""
+        self._marks(switch).offered[self.relative(packet_id)] = time_s
+
+    def mark_release(
+        self, span: int, switch: str, packet_id: int, time_s: float
+    ) -> None:
+        """The merge released the packet: its offer -> release wait."""
+        offered = self._marks(switch).offered.pop(self.relative(packet_id))
+        self.mark_wait(
+            span, packet_id, switch, "merge_wait", offered, time_s, "merge"
+        )
+
+    def prefix_switches(self, prefix: str, first: int) -> None:
+        """Prefix the switch of every record from index ``first`` on, and
+        those switches' marks, so two runs that reuse switch names stay
+        apart in one recorder."""
+        records = self.records
+        names = set()
+        for index in range(first, len(records)):
+            record = records[index]
+            names.add(record.switch)
+            records[index] = replace(record, switch=prefix + record.switch)
+        for name in names.intersection(self.marks):
+            marks = self.marks.pop(name)
+            for waits in marks.waits.values():
+                waits[:] = [
+                    replace(wait, switch=prefix + name) for wait in waits
+                ]
+            self.marks[prefix + name] = marks
 
     def __len__(self) -> int:
         return len(self.records)
 
 
 # --- analysis --------------------------------------------------------------------
-
-
-def span_hop_totals(
-    records: list[SpanRecord],
-) -> dict[str, dict[str, float]]:
-    """``{switch: {hop: summed duration_s}}`` over all records."""
-    totals: dict[str, dict[str, float]] = {}
-    for record in records:
-        per_switch = totals.setdefault(record.switch, {})
-        per_switch[record.hop] = (
-            per_switch.get(record.hop, 0.0) + record.duration_s
-        )
-    return totals
 
 
 @dataclass(frozen=True)
@@ -218,9 +330,9 @@ def coflow_critical_paths(
             spans, key=lambda s: (max(r.end_s for r in by_span[s]), s)
         )
         chain = by_span[critical]
-        hop_totals = {hop: 0.0 for hop in SPAN_HOPS}
+        hop_totals = {hop: 0.0 for hop in LEDGER_HOPS}
         for record in chain:
-            hop_totals[record.hop] += record.duration_s
+            hop_totals[_ledger_hop(record.hop)] += record.duration_s
         chain_window = max(r.end_s for r in chain) - min(
             r.start_s for r in chain
         )
@@ -344,7 +456,7 @@ def build_span_ledger(
     durations: dict[str, dict[str, list[float]]] = {}
     for record in recorder.records:
         durations.setdefault(record.switch, {}).setdefault(
-            record.hop, []
+            _ledger_hop(record.hop), []
         ).append(record.duration_s)
     for switch in sorted(durations):
         series = {

@@ -28,6 +28,8 @@ from repro.telemetry import (
     LittlesLawCheck,
     ResourceMonitor,
     RunProfile,
+    SpanRecorder,
+    SpanSampler,
     Telemetry,
     analyze_bottlenecks,
     attribution_gap,
@@ -86,7 +88,9 @@ class TestTable1Gap:
 def _small_adcp_report(monitor):
     """The bottleneck report of a small ADCP run, with or without a
     monitor on its hub."""
-    telemetry = Telemetry(capacity=1 << 20, monitor=monitor)
+    spans = SpanRecorder(SpanSampler(seed=0, sample=1))
+    telemetry = Telemetry(monitor=monitor, spans=spans)
+    telemetry.trace.disable()
     config = ADCPConfig(
         num_ports=4, port_speed_bps=100 * GBPS, demux_factor=2,
         central_pipelines=2,
@@ -94,9 +98,9 @@ def _small_adcp_report(monitor):
     app = ParameterServerApp([0, 1, 2, 3], 64, elements_per_packet=16)
     switch = ADCPSwitch(config, app, telemetry=telemetry)
     result = switch.run(app.workload(config.port_speed_bps))
-    profile = profile_run(telemetry.trace, label="adcp-small")
+    profile = profile_run(spans, "adcp", label="adcp-small")
     return analyze_bottlenecks(
-        profile, telemetry.trace, monitor, duration_s=result.duration_s
+        profile, monitor, duration_s=result.duration_s
     )
 
 
@@ -128,7 +132,7 @@ class TestLittlesLaw:
         :func:`monitor_littles_checks` over the section's monitor."""
         section = _section(recirculate, "rmt-recirculate")
         assert section.report.littles == monitor_littles_checks(
-            section.telemetry.trace,
+            section.profile,
             section.telemetry.monitor,
             section.result.duration_s,
         )

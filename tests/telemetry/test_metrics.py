@@ -9,10 +9,9 @@ from repro.apps import ParameterServerApp
 from repro.errors import ConfigError
 from repro.rmt.switch import RMTSwitch
 from repro.telemetry import (
-    Category,
     ResourceMonitor,
+    RunProfile,
     Telemetry,
-    TraceRecorder,
     monitor_littles_checks,
     text_report,
 )
@@ -79,13 +78,10 @@ class TestQueries:
     def test_latest_unknown_is_zero(self):
         """A TM series the monitor has not sampled yet reads zero
         observed occupancy in the Little's-law check."""
-        recorder = TraceRecorder()
-        for name, time_s in (("tm.admit", 1e-9), ("tm.release", 3e-9)):
-            recorder.emit(
-                Category.TM, name, time_s, component="adcp.tm1", packet_id=1
-            )
+        profile = RunProfile("tm1")
+        profile.residencies["adcp.tm1"] = [3e-9 - 1e-9]  # admit -> release
         monitor = self._monitor()
-        (check,) = monitor_littles_checks(recorder, monitor, duration_s=4e-9)
+        (check,) = monitor_littles_checks(profile, monitor, duration_s=4e-9)
         assert check.component == "adcp.tm1"
         assert check.observed_occupancy == 0.0
         assert check.predicted_occupancy == pytest.approx(0.5)

@@ -16,8 +16,11 @@ from repro.rmt.switch import RMTSwitch
 from repro.sim.event import Simulator
 from repro.telemetry import (
     ResourceMonitor,
+    SpanRecorder,
+    SpanSampler,
     Telemetry,
     monitor_littles_checks,
+    profile_run,
 )
 from repro.telemetry.runner import run_monitor
 
@@ -201,13 +204,14 @@ class TestDeterminism:
 
 class TestCrossChecks:
     def test_littles_law_holds_on_steady_workload(self, small_rmt_config):
-        """λW from the event spans ≈ the mean of the clock-grid occupancy
+        """λW from the span records ≈ the mean of the clock-grid occupancy
         samples — two independent instrumentation paths agreeing."""
         config = dataclasses.replace(
             small_rmt_config, state_mode=StateMode.RECIRCULATE
         )
         monitor = ResourceMonitor(interval_ns=10.0)
-        telemetry = Telemetry(monitor=monitor)
+        spans = SpanRecorder(SpanSampler(seed=0, sample=1))
+        telemetry = Telemetry(monitor=monitor, spans=spans)
         app = ParameterServerApp([0, 1, 4, 5], 128, elements_per_packet=1)
         switch = RMTSwitch(config, app, telemetry=telemetry)
         result = switch.run(app.workload(config.port_speed_bps))
@@ -217,7 +221,10 @@ class TestCrossChecks:
         # still catches a mis-wired probe, which is off by orders of
         # magnitude, not a factor ~2.
         checks = monitor_littles_checks(
-            telemetry.trace, monitor, result.duration_s, tolerance=2.5
+            profile_run(spans, switch.name),
+            monitor,
+            result.duration_s,
+            tolerance=2.5,
         )
         assert [c.component for c in checks] == [switch.tm.path]
         check = checks[0]
