@@ -14,16 +14,17 @@ Also hosts the telemetry tooling:
   diffable run ledger.
 - ``python -m repro serve <topology> <workload>`` streams open-loop,
   rate-controlled traffic into a continuously-running fabric, emitting
-  rolling-window records with live SLO verdicts and a diffable serve
+  rolling-window records with live SLO verdicts and a diffable run
   ledger (exit 1 on SLO violation).
 - ``python -m repro spans <topology> <workload>`` head-samples 1-in-N
   packets through a fabric (fast path live) and writes per-hop span
-  timelines plus a diffable span ledger.
+  timelines plus a diffable run ledger.
 - ``python -m repro stateful <workload>`` runs one stateful-primitive
   workload (EFSM, replicated objects, state-compute replication) on one
-  or both targets and writes a diffable stateful ledger.
-- ``python -m repro diff <base> <new>`` compares two run ledgers and
-  exits non-zero on regression.
+  or both targets and writes a diffable run ledger.
+- ``python -m repro diff <base> <new>`` compares two run ledgers,
+  written by any of the subcommands above, and exits non-zero on
+  regression.
 - ``python -m repro campaign <spec>`` expands a declarative sweep into
   cells, runs them on a worker pool with caching and a resumable
   journal, and writes one diffable aggregate report.
@@ -478,8 +479,9 @@ def _usage_lines() -> list[str]:
         "trace --sample N merges span slices into the full timeline"
     )
     lines.append(
-        "diff compares two run ledgers written by monitor; it exits 1 "
-        "when any series regressed past the threshold (default 5%)"
+        "diff compares two run ledgers (any subcommand's --ledger, or a "
+        "campaign report); it exits 1 when any series regressed past the "
+        "threshold (default 5%)"
     )
     lines.append(
         f"campaign builtins: {', '.join(sorted(BUILTIN_CAMPAIGNS))}; "

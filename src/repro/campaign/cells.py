@@ -1,10 +1,11 @@
 """Cell targets: the functions a campaign schedules, one call per cell.
 
 A target takes one validated parameter table (always including a
-resolved ``seed``) and returns a **run ledger** document — the PR 4
-schema (``repro.run_ledger/1``) with monitored series summaries per
-section — so every cell's output plugs straight into ``repro diff`` and
-the campaign aggregator.
+resolved ``seed``) and returns a **run ledger** document
+(:func:`repro.telemetry.ledger.build_ledger`): series summaries per
+section, and the run's own ``totals`` that the campaign's axis tables
+read — so every cell's output plugs straight into ``repro diff`` and the
+campaign aggregator.
 
 Targets must be:
 
@@ -75,22 +76,17 @@ def _monitored_telemetry():
     return Telemetry.at_level("counters", interval_ns=DEFAULT_INTERVAL_NS)
 
 
-def _section(label: str, telemetry, result) -> dict:
-    """One ledger section from a monitored switch run."""
-    from ..telemetry.ledger import SwitchSection
+def _switch_ledger(workload: str, params: dict, telemetry, result) -> dict:
+    """The ledger of one monitored ADCP run: its one section, and the
+    section's own numbers as the cell's totals."""
+    from ..telemetry.ledger import SwitchSection, build_ledger
 
-    return SwitchSection(label, telemetry, result).to_json()
-
-
-def _ledger(workload: str, params: dict, sections: list[dict]) -> dict:
-    from ..telemetry.ledger import build_ledger
-    from ..telemetry.monitor import DEFAULT_INTERVAL_NS
-
+    section = SwitchSection("adcp", telemetry, result)
     return build_ledger(
-        workload=workload,
-        interval_ns=DEFAULT_INTERVAL_NS,
-        config=dict(params),
-        sections=sections,
+        workload,
+        {**params, "interval_ns": telemetry.monitor.interval_ns},
+        [section.to_json()],
+        totals=section.totals(),
     )
 
 
@@ -139,7 +135,7 @@ def _cell_design_space(params: dict) -> dict:
     )
     switch = ADCPSwitch(config, app, telemetry=telemetry)
     result = switch.run(app.workload(config.port_speed_bps))
-    return _ledger("design-space", p, [_section("adcp", telemetry, result)])
+    return _switch_ledger("design-space", p, telemetry, result)
 
 
 def _cell_coflow_mix(params: dict) -> dict:
@@ -216,9 +212,7 @@ def _cell_coflow_mix(params: dict) -> dict:
             f"coflow-mix app must be one of paramserver, dbshuffle, "
             f"graphmining, groupcomm; got {app_name!r}"
         )
-    return _ledger(
-        f"coflow-mix:{app_name}", p, [_section("adcp", telemetry, result)]
-    )
+    return _switch_ledger(f"coflow-mix:{app_name}", p, telemetry, result)
 
 
 def _cell_fabric(params: dict) -> dict:
@@ -227,8 +221,9 @@ def _cell_fabric(params: dict) -> dict:
     Wraps :func:`repro.fabric.run_fabric`: coflows traverse a fat-tree
     or leaf-spine of RMT/ADCP switches, and the cell's ledger carries
     one section per switch plus the fabric section (links, per-coflow
-    CCT, ``max_cct_s``) — so a placement sweep's axis tables compare
-    coflow completion time directly.
+    CCT), and the run's totals (``max_cct_s`` among them) — so a
+    placement sweep's axis tables compare coflow completion time
+    directly.
     """
     p = _take(
         "fabric",
@@ -265,10 +260,10 @@ def _cell_stateful(params: dict) -> dict:
     """One stateful-primitive run (workload x flow count x skew x target).
 
     Wraps :func:`repro.stateful.run_stateful`: the cell's ledger is the
-    ``repro.stateful_ledger/1`` artifact — per-target sections with
-    admission/detection verdicts and state-access counts plus the
-    compile-divergence section — so a flows x skew x target sweep shows
-    how access concentration moves the primitive quality metrics on each
+    stateful run's — per-target sections with admission/detection
+    verdicts and state-access counts plus the compile-divergence
+    section — so a flows x skew x target sweep shows how access
+    concentration moves the primitive quality metrics on each
     architecture.
     """
     p = _take(
@@ -309,23 +304,20 @@ def _cell_echo(params: dict) -> dict:
     Test scaffolding for the pool/runner/CLI suites — fast, importable
     under any multiprocessing start method, and byte-stable.
     """
-    from ..telemetry.ledger import point
+    from ..telemetry.ledger import build_ledger, point
 
     raw = params.get("value", 0)
     value = float(raw) if isinstance(raw, (int, float)) else 0.0
-    sections = [
-        {
-            "label": "echo",
-            "duration_s": value,
-            "delivered": int(value),
-            "consumed": 0,
-            "recirculated": 0,
-            "samples": 1,
-            "series": {"echo.value": point(value)},
-            "counters": {},
-        }
-    ]
-    return _ledger("echo", params, sections)
+    totals = {"duration_s": value, "delivered": int(value), "recirculated": 0}
+    section = {
+        "label": "echo",
+        **totals,
+        "consumed": 0,
+        "samples": 1,
+        "series": {"echo.value": point(value)},
+        "counters": {},
+    }
+    return build_ledger("echo", dict(params), [section], totals=totals)
 
 
 def _cell_flaky(params: dict) -> dict:

@@ -39,16 +39,16 @@ from .pool import (
 )
 from .spec import CampaignSpec, Cell
 
-#: Campaign reports use the run-ledger schema family so ``repro diff``
-#: loads them unchanged; the campaign-specific payload rides alongside.
+#: Campaign reports are run ledgers, so ``repro diff`` loads them
+#: unchanged; the campaign-specific payload rides alongside.
 REPORT_FILENAME = "report.json"
 JOURNAL_FILENAME = "journal.jsonl"
 
-#: Per-cell scalar metrics the axis tables aggregate (summed over a
-#: cell's sections; lower is better for every one of them).
-#: ``max_cct_s`` only appears in fabric cells' "fabric" section and
-#: sums to zero elsewhere.
-_TABLE_METRICS = ("duration_s", "recirculated", "max_cct_s")
+#: Per-cell scalar metrics the axis tables aggregate, read from the
+#: cell ledger's ``totals`` (the run's own numbers, counted once however
+#: many switch sections the ledger holds).  ``max_cct_s`` only fabric
+#: runs report; it reads zero elsewhere.
+_TABLE_METRICS = ("duration_s", "recirculated", "max_cct_s", "delivered")
 
 
 @dataclass
@@ -147,53 +147,47 @@ def _aggregate_report(
     for outcome in outcomes:
         if outcome.ledger is None:
             continue
-        interval_ns = outcome.ledger.get("interval_ns", interval_ns)
-        for section in outcome.ledger.get("sections", []):
+        interval_ns = outcome.ledger["config"].get("interval_ns", interval_ns)
+        for section in outcome.ledger["sections"]:
             merged = dict(section)
             merged["label"] = f"{outcome.cell.label}/{section['label']}"
             sections.append(merged)
     sections.sort(key=lambda s: s["label"])
 
-    report = build_ledger(
-        workload=f"campaign:{spec.name}",
-        interval_ns=interval_ns,
-        config={
+    return build_ledger(
+        f"campaign:{spec.name}",
+        {
             "campaign": spec.name,
             "target": spec.target,
             "mode": spec.mode,
             "axes": {k: list(v) for k, v in spec.axes.items()},
             "seed": spec.seed,
             "spec_digest": spec.digest(),
+            "interval_ns": interval_ns,
         },
-        sections=sections,
+        sections,
+        campaign={
+            "cells": [
+                {
+                    "index": o.cell.index,
+                    "label": o.cell.label,
+                    "digest": o.cell.digest,
+                    "params": o.cell.params,
+                    "status": o.status,
+                    "metrics": _cell_metrics(o),
+                }
+                for o in outcomes
+            ],
+            "tables": _axis_tables(spec, outcomes),
+        },
     )
-    report["campaign"] = {
-        "cells": [
-            {
-                "index": o.cell.index,
-                "label": o.cell.label,
-                "digest": o.cell.digest,
-                "params": o.cell.params,
-                "status": o.status,
-                "metrics": _cell_metrics(o),
-            }
-            for o in outcomes
-        ],
-        "tables": _axis_tables(spec, outcomes),
-    }
-    return report
 
 
 def _cell_metrics(outcome: CellOutcome) -> dict | None:
     if outcome.ledger is None:
         return None
-    metrics = {metric: 0.0 for metric in _TABLE_METRICS}
-    metrics["delivered"] = 0.0
-    for section in outcome.ledger.get("sections", []):
-        for metric in _TABLE_METRICS:
-            metrics[metric] += float(section.get(metric, 0.0))
-        metrics["delivered"] += float(section.get("delivered", 0))
-    return metrics
+    totals = outcome.ledger["totals"]
+    return {metric: float(totals.get(metric, 0)) for metric in _TABLE_METRICS}
 
 
 def _axis_tables(spec: CampaignSpec, outcomes: list[CellOutcome]) -> dict:

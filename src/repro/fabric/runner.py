@@ -11,21 +11,22 @@ hosts each coflow's aggregation state.  The kernel drains once; then
 every switch is finalized and the run is verified end to end (every
 expected result packet arrived, aggregate values are exact).
 
-The output :class:`FabricRun` exposes the same ledger shape as the
-single-switch campaign cells — one section per switch plus a ``fabric``
-section carrying link and coflow-completion series — so fabric runs
+The output :class:`FabricRun` writes the one run-ledger format — one
+section per switch plus a ``fabric`` section carrying link and
+coflow-completion series, and the run's own ``totals`` — so fabric runs
 plug directly into ``repro diff`` and the campaign aggregator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..errors import ConfigError, SimulationError
 from ..net.headers import OP_DATA
 from ..net.packet import Packet
 from ..sim.event import CollectorPause, Simulator
-from ..telemetry.ledger import SwitchSection, point
+from ..telemetry.ledger import SwitchSection, build_ledger, point
 from ..telemetry.monitor import DEFAULT_INTERVAL_NS
 from ..units import GBPS
 from .app import FabricAggregateApp, HostedCoflow
@@ -69,7 +70,6 @@ class FabricRun:
     events: int
     injected: int
     events_coalesced: int = 0
-    interval_ns: float = DEFAULT_INTERVAL_NS
     selectors: dict = field(default_factory=dict)
     span_coflows: dict = field(default_factory=dict)
     """Sampled span id -> coflow label, filled when the run carried a
@@ -128,20 +128,24 @@ class FabricRun:
             "counters": {},
         }
 
-    def ledger(self) -> dict:
-        """The run as a ``repro.run_ledger/1`` document (diffable)."""
-        from ..telemetry.ledger import build_ledger
+    def totals(self) -> dict:
+        """The run's own numbers, counted once for the whole fabric."""
+        return {
+            "duration_s": self.duration_s,
+            "delivered": self.delivered_to_hosts,
+            "recirculated": self.recirculated,
+            "max_cct_s": self.max_cct_s,
+        }
 
+    def ledger(self) -> dict:
+        """The run as a run-ledger document (diffable)."""
         sections = [section.to_json() for section in self.sections]
         sections.append(self._fabric_section())
-        label = (
-            f"fabric:{self.workload}@{self.topology.name}:{self.target}"
-        )
         return build_ledger(
-            workload=label,
-            interval_ns=self.interval_ns,
-            config=dict(self.params),
-            sections=sections,
+            f"fabric:{self.workload}@{self.topology.name}:{self.target}",
+            dict(self.params),
+            sections,
+            totals=self.totals(),
         )
 
     def summary(self) -> dict:
@@ -505,6 +509,34 @@ def _verify_allreduce(run_workload, hosts) -> None:
                 )
 
 
+def place_workload(build, topo: Topology, *, target, placement, vector):
+    """Build a coflow workload for ``target`` and place its aggregation.
+
+    RMT's scalar stateful constraint forces one element per packet;
+    ADCP packs up to its array width (section 3.2's whole point).
+    ``build(elements_per_packet=...)`` returns a batch workload or a
+    serve schedule; when it aggregates, the ``placement`` policy picks
+    the switch that hosts each coflow.  Returns the workload, its
+    elements per packet, coflow id -> hosting switch, and each switch's
+    hosted coflows.
+    """
+    epp = 1 if target == "rmt" else min(16, vector)
+    work = build(elements_per_packet=epp)
+    placement_map: dict[int, str] = {}
+    hosted_by_switch: dict[str, list[HostedCoflow]] = {}
+    if work.aggregated:
+        policy = make_placement(placement)
+        for spec in work.coflows:
+            where = policy.choose(spec.coflow_id, spec.worker_hosts, topo)
+            placement_map[spec.coflow_id] = where
+            hosted_by_switch.setdefault(where, []).append(
+                HostedCoflow(
+                    spec.coflow_id, spec.worker_hosts, spec.vector_elements
+                )
+            )
+    return work, epp, placement_map, hosted_by_switch
+
+
 def run_fabric(
     topology: str | Topology,
     workload: str = "fabric-allreduce",
@@ -542,35 +574,25 @@ def run_fabric(
             f"link latency must be >= 0, got {link_latency_ns}"
         )
     topo = parse_topology(topology) if isinstance(topology, str) else topology
-    # RMT's scalar stateful constraint forces one element per packet;
-    # ADCP packs up to its array width (section 3.2's whole point).
-    epp = 1 if target == "rmt" else min(16, vector)
     # Build, admit and drain inside one collector pause: the workload's
     # packets are the run's largest allocation (docs/KERNEL.md).
     with CollectorPause():
-        work = build_workload(
-            workload,
+        work, epp, placement_map, hosted_by_switch = place_workload(
+            partial(
+                build_workload,
+                workload,
+                topo,
+                coflows=coflows,
+                vector=vector,
+                link_bps=PORT_SPEED_BPS,
+                load=load,
+                seed=seed,
+            ),
             topo,
-            coflows=coflows,
+            target=target,
+            placement=placement,
             vector=vector,
-            elements_per_packet=epp,
-            link_bps=PORT_SPEED_BPS,
-            load=load,
-            seed=seed,
         )
-
-        placement_map: dict[int, str] = {}
-        hosted_by_switch: dict[str, list[HostedCoflow]] = {}
-        if work.aggregated:
-            policy = make_placement(placement)
-            for spec in work.coflows:
-                where = policy.choose(spec.coflow_id, spec.worker_hosts, topo)
-                placement_map[spec.coflow_id] = where
-                hosted_by_switch.setdefault(where, []).append(
-                    HostedCoflow(
-                        spec.coflow_id, spec.worker_hosts, spec.vector_elements
-                    )
-                )
 
         fabric = build_fabric(
             topo,
@@ -613,6 +635,7 @@ def run_fabric(
         "vector": vector,
         "load": load,
         "link_latency_ns": link_latency_ns,
+        "interval_ns": interval_ns,
     }
     return FabricRun(
         topology=topo,
@@ -631,7 +654,6 @@ def run_fabric(
         events=sim.events_dispatched,
         injected=work.injected_packets,
         events_coalesced=sim.events_coalesced,
-        interval_ns=interval_ns,
         selectors=fabric.selectors,
         span_coflows=span_coflows,
         app_factory=work.app_factory,

@@ -10,11 +10,12 @@ RollingWindowMonitor` folds deliveries into tumbling fixed-width
 windows (p50/p99 latency, drop rate, throughput, TM occupancy,
 recirculation depth, per-coflow CCT), and an
 :class:`~repro.serve.slo.SloPolicy` turns each window into a live
-verdict.  The run ends as a ``repro.serve_ledger/1`` artifact —
-byte-identical per seed, diffable with ``repro diff``.
+verdict.  The run ends as a run ledger carrying the window records,
+the SLO summary and the run totals — byte-identical per seed, diffable
+with ``repro diff``.
 
 See docs/SERVING.md for the replay model, window semantics, the SLO
-expression format, and the ledger schema.
+expression format, and the ledger's serve payloads.
 """
 
 from .replay import (  # noqa: F401

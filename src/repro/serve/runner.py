@@ -8,32 +8,31 @@ ServeSchedule` instead of back-to-back flows, a
 :class:`~repro.serve.windows.RollingWindowMonitor` on the kernel clock,
 a host-delivery hook recording end-to-end latency and per-coflow CCT,
 and an :class:`~repro.serve.slo.SloPolicy` annotating every window as
-it closes.  The result is a ``repro.serve_ledger/1`` document: the full
-window series, the SLO compliance summary, run totals, and diffable
-sections (a ``serve`` section summarizing each window metric with its
-direction, plus the usual per-switch monitor sections).
+it closes.  The result is a run ledger whose payloads are the full
+window series, the SLO compliance summary and the run totals, beside
+diffable sections (a ``serve`` section summarizing each window metric,
+plus the usual per-switch monitor sections).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import fsum
+from functools import partial
 
 from ..errors import ConfigError
-from ..fabric.app import HostedCoflow
 from ..fabric.link import HostEndpoint
-from ..fabric.placement import make_placement
 from ..fabric.runner import (
     DEFAULT_FLOWLET_GAP_NS,
     DEFAULT_LINK_LATENCY_NS,
     PORT_SPEED_BPS,
     build_fabric,
     inject_arrivals,
+    place_workload,
 )
 from ..fabric.topology import Topology, parse_topology
 from ..sim.event import CollectorPause, Simulator
-from ..telemetry.ledger import SERVE_LEDGER_SCHEMA, git_sha
-from ..telemetry.monitor import _percentile
+from ..telemetry.ledger import build_ledger, point
+from ..telemetry.monitor import SeriesSummary
 from .replay import MAX_WINDOWS, RateProfile, ServeSchedule, build_schedule
 from .slo import SloPolicy
 from .windows import RollingWindowMonitor
@@ -43,17 +42,6 @@ _NS = 1e-9
 DEFAULT_RATE = 0.8
 DEFAULT_DURATION_NS = 20_000.0
 DEFAULT_WINDOW_NS = 1_000.0
-
-#: Window metrics that are higher-is-better in the serve section's
-#: series summaries; everything else keeps the pressure default.
-_HIGHER_METRICS = {
-    "delivered",
-    "offered",
-    "throughput_pps",
-    "offered_pps",
-    "coflows_completed",
-    "latency_samples",
-}
 
 #: Window metrics excluded from the diffable serve section (identity or
 #: bookkeeping, not service quality).
@@ -119,7 +107,7 @@ class ServeRun:
     # --- reporting ----------------------------------------------------------------
 
     def _serve_section(self) -> dict:
-        """The window series as diffable summaries, direction-tagged."""
+        """The window series as diffable summaries."""
         series: dict[str, dict] = {}
         names = sorted(
             {
@@ -135,27 +123,11 @@ class ServeRun:
                 for window in self.windows
                 if isinstance(window.get(name), (int, float))
             ]
-            if not values:
-                continue
-            ordered = sorted(values)
-            series[name] = {
-                "samples": len(values),
-                "mean": fsum(values) / len(values),
-                "peak": ordered[-1],
-                "p99": _percentile(ordered, 99.0),
-                "last": values[-1],
-                "direction": (
-                    "higher" if name in _HIGHER_METRICS else "lower"
-                ),
-            }
-        compliance = float(self.slo.get("compliance", 1.0))
+            if values:
+                series[name] = SeriesSummary.of(name, values).to_json()
         series["slo.compliance"] = {
+            **point(self.slo.get("compliance", 1.0)),
             "samples": len(self.windows),
-            "mean": compliance,
-            "peak": compliance,
-            "p99": compliance,
-            "last": compliance,
-            "direction": "higher",
         }
         return {
             "label": "serve",
@@ -175,7 +147,8 @@ class ServeRun:
         return [record.to_json() for record in self.spans.records]
 
     def ledger(self) -> dict:
-        """The run as a ``repro.serve_ledger/1`` document (diffable)."""
+        """The run as a run-ledger document (diffable), carrying the
+        window records, the SLO summary and the run totals."""
         sections = [self._serve_section()]
         if self.spans is not None:
             from ..telemetry.spans import span_overview_series
@@ -187,20 +160,14 @@ class ServeRun:
                 }
             )
         sections.extend(section.to_json() for section in self.sections)
-        label = (
-            f"serve:{self.workload}@{self.topology.name}:{self.target}"
+        return build_ledger(
+            f"serve:{self.workload}@{self.topology.name}:{self.target}",
+            dict(self.params),
+            sections,
+            windows=self.windows,
+            slo=self.slo,
+            totals=self.totals(),
         )
-        return {
-            "schema": SERVE_LEDGER_SCHEMA,
-            "workload": label,
-            "git_sha": git_sha(),
-            "window_ns": self.window_ns,
-            "config": dict(self.params),
-            "windows": self.windows,
-            "slo": self.slo,
-            "totals": self.totals(),
-            "sections": sections,
-        }
 
     def summary(self) -> dict:
         """Flat JSON summary (the CLI's final ``--json`` line)."""
@@ -328,38 +295,28 @@ def run_serve(
         )
     policy = slos if isinstance(slos, SloPolicy) else SloPolicy.parse(slos)
     topo = parse_topology(topology) if isinstance(topology, str) else topology
-    # RMT's scalar stateful constraint forces one element per packet;
-    # ADCP packs up to its array width (same split as run_fabric).
-    epp = 1 if target == "rmt" else min(16, vector)
     profile = RateProfile(rate, ramp_ns=ramp_ns, bursts=tuple(bursts))
     # Build, admit and drain inside one collector pause, as run_fabric
     # does (docs/KERNEL.md).
     with CollectorPause():
-        schedule = build_schedule(
-            workload,
+        schedule, epp, placement_map, hosted_by_switch = place_workload(
+            partial(
+                build_schedule,
+                workload,
+                topo,
+                profile=profile,
+                arrivals=arrivals,
+                duration_ns=duration_ns,
+                coflows=coflows,
+                vector=vector,
+                link_bps=PORT_SPEED_BPS,
+                seed=seed,
+            ),
             topo,
-            profile=profile,
-            arrivals=arrivals,
-            duration_ns=duration_ns,
-            coflows=coflows,
+            target=target,
+            placement=placement,
             vector=vector,
-            elements_per_packet=epp,
-            link_bps=PORT_SPEED_BPS,
-            seed=seed,
         )
-
-        placement_map: dict[int, str] = {}
-        hosted_by_switch: dict[str, list[HostedCoflow]] = {}
-        if schedule.aggregated:
-            chooser = make_placement(placement)
-            for spec in schedule.coflows:
-                where = chooser.choose(spec.coflow_id, spec.worker_hosts, topo)
-                placement_map[spec.coflow_id] = where
-                hosted_by_switch.setdefault(where, []).append(
-                    HostedCoflow(
-                        spec.coflow_id, spec.worker_hosts, spec.vector_elements
-                    )
-                )
 
         monitor = RollingWindowMonitor(window_ns)
 

@@ -7,8 +7,7 @@ RMT's feed-forward, scalar-match discipline but map naturally onto the
 disaggregated array-match path.  This package provides those three
 primitives target-neutrally, four workloads that exercise them
 (:data:`~repro.stateful.workloads.STATEFUL_WORKLOADS`), and a runner
-that emits the diffable ``repro.stateful_ledger/1`` artifact — see
-``docs/PRIMITIVES.md``.
+that emits a diffable run ledger — see ``docs/PRIMITIVES.md``.
 """
 
 from .apps import (

@@ -1,4 +1,4 @@
-"""Drive the stateful workloads and emit ``repro.stateful_ledger/1``.
+"""Drive the stateful workloads and emit their run ledger.
 
 :func:`run_stateful` runs one workload on one or both targets — single
 switch or any fabric topology — and folds the app counters, ground-truth
@@ -7,8 +7,7 @@ scoring, and the §3.2 compile divergence into a diffable ledger:
 * per-target sections (``adcp:<workload>`` / ``rmt:<workload>``, or
   ``<target>:<workload>@<topo>`` in a fabric) carry state accesses,
   transition counts, admission/detection verdicts, and merge traffic as
-  single-sample series with explicit direction tags on the quality
-  metrics;
+  single-sample series;
 * one ``compile`` section sweeps keys-per-packet through the
   :mod:`repro.program` compiler on both targets over the workload's
   state tables: RMT's per-key replication factor grows with k while
@@ -30,9 +29,8 @@ from ..program import Compiler, TableSpec, adcp_target, rmt_target
 from ..sim.rng import DEFAULT_SEED
 from ..tables.mat import MatchKind
 from ..telemetry.ledger import (
-    STATEFUL_LEDGER_SCHEMA,
     SwitchSection,
-    git_sha,
+    build_ledger,
     point,
     write_ledger,
 )
@@ -75,18 +73,11 @@ class StatefulSection:
     result: object = None
 
     def to_json(self) -> dict:
-        doc = {
+        return {
             "label": self.label,
             "series": self.series,
             "counters": self.counters,
         }
-        # Hoist the standard run-ledger keys so campaign axis tables and
-        # ledger diffs see stateful cells like any other section.
-        if "delivered" in self.series:
-            doc["delivered"] = int(self.series["delivered"]["mean"])
-        if "duration_ns" in self.series:
-            doc["duration_s"] = self.series["duration_ns"]["mean"] * 1e-9
-        return doc
 
 
 @dataclass
@@ -102,16 +93,22 @@ class StatefulRun:
     ledger_path: Path | None = None
     lines: list[str] = field(default_factory=list)
 
-    def ledger(self) -> dict:
+    def totals(self) -> dict:
+        """Delivered packets and run time, summed over the target runs
+        (the compile section runs nothing)."""
+        runs = [s.series for s in self.sections if "duration_ns" in s.series]
         return {
-            "schema": STATEFUL_LEDGER_SCHEMA,
-            "workload": self.workload,
-            "topology": self.topology,
-            "seed": self.seed,
-            "git_sha": git_sha(),
-            "params": self.params,
-            "sections": [s.to_json() for s in self.sections],
+            "delivered": sum(int(r["delivered"]["mean"]) for r in runs),
+            "duration_s": sum(r["duration_ns"]["mean"] * 1e-9 for r in runs),
         }
+
+    def ledger(self) -> dict:
+        return build_ledger(
+            self.workload,
+            dict(self.params),
+            [s.to_json() for s in self.sections],
+            totals=self.totals(),
+        )
 
     def summary(self) -> dict:
         sections = {}
@@ -229,7 +226,7 @@ def _app_series(workload: str, app, truth: dict, duration_s: float) -> dict:
         series["admitted"] = point(app.admitted)
         series["rate_limited"] = point(app.rate_limited)
         series["goodput_pps"] = point(
-            app.admitted / duration_s if duration_s > 0 else 0.0, "higher"
+            app.admitted / duration_s if duration_s > 0 else 0.0
         )
         series["scr.admit_divergence"] = point(bucket.admit_divergence)
         series["scr.shadow_admitted"] = point(bucket.shadow_admitted)
@@ -243,7 +240,7 @@ def _app_series(workload: str, app, truth: dict, duration_s: float) -> dict:
         benign = truth.get("sources", engine.flows) - len(attackers)
         detected = len(flagged & attackers)
         series["detection_rate"] = point(
-            detected / len(attackers) if attackers else 0.0, "higher"
+            detected / len(attackers) if attackers else 0.0
         )
         series["false_positive_rate"] = point(
             len(flagged - attackers) / benign if benign else 0.0
@@ -259,7 +256,7 @@ def _app_series(workload: str, app, truth: dict, duration_s: float) -> dict:
         heavy = set(truth.get("heavy", []))
         found = len(promoted & heavy)
         series["detection_rate"] = point(
-            found / len(heavy) if heavy else 0.0, "higher"
+            found / len(heavy) if heavy else 0.0
         )
         series["false_positive_rate"] = point(
             len(promoted - heavy) / len(promoted) if promoted else 0.0
@@ -270,7 +267,7 @@ def _app_series(workload: str, app, truth: dict, duration_s: float) -> dict:
         series["state_accesses"] = point(app.heavy.lookups * app.rows)
     else:  # keycache
         shared = app.shared
-        series["hit_rate"] = point(app.hit_rate, "higher")
+        series["hit_rate"] = point(app.hit_rate)
         series["hits"] = point(app.hits)
         series["misses"] = point(app.misses)
         series["puts"] = point(app.puts)
@@ -309,8 +306,7 @@ def _merge_app_counters(workload: str, apps: list, truth: dict, duration_s: floa
         benign = len([c for c in clients if c not in attackers])
         series = {
             "detection_rate": point(
-                len(flagged & attackers) / len(attackers) if attackers else 0.0,
-                "higher",
+                len(flagged & attackers) / len(attackers) if attackers else 0.0
             ),
             "false_positive_rate": point(
                 len(flagged - attackers) / benign if benign else 0.0
@@ -334,8 +330,7 @@ def _merge_app_counters(workload: str, apps: list, truth: dict, duration_s: floa
         heavy = set(truth.get("heavy", []))
         return {
             "detection_rate": point(
-                len(promoted & heavy) / len(heavy) if heavy else 0.0,
-                "higher",
+                len(promoted & heavy) / len(heavy) if heavy else 0.0
             ),
             "false_positive_rate": point(
                 len(promoted - heavy) / len(promoted) if promoted else 0.0
@@ -358,7 +353,7 @@ def _merge_app_counters(workload: str, apps: list, truth: dict, duration_s: floa
             "admitted": point(admitted),
             "rate_limited": point(limited),
             "goodput_pps": point(
-                admitted / duration_s if duration_s > 0 else 0.0, "higher"
+                admitted / duration_s if duration_s > 0 else 0.0
             ),
             "scr.admit_divergence": point(divergence),
             "scr.shadow_admitted": point(shadow),
@@ -373,7 +368,7 @@ def _merge_app_counters(workload: str, apps: list, truth: dict, duration_s: floa
     puts = sum(app.puts for app in apps)
     total = hits + misses
     return {
-        "hit_rate": point(hits / total if total else 0.0, "higher"),
+        "hit_rate": point(hits / total if total else 0.0),
         "hits": point(hits),
         "misses": point(misses),
         "puts": point(puts),

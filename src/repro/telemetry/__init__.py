@@ -38,8 +38,6 @@ from .attribution import (
 from .ledger import (
     DEFAULT_THRESHOLD,
     LEDGER_SCHEMA,
-    SPAN_LEDGER_SCHEMA,
-    STATEFUL_LEDGER_SCHEMA,
     DiffRow,
     LedgerDiff,
     build_ledger,
@@ -53,11 +51,10 @@ from .spans import (
     CoflowCriticalPath,
     SpanRecord,
     SpanRecorder,
-    build_span_ledger,
     coflow_critical_paths,
     span_chrome_events,
     span_overview_series,
-    write_span_ledger,
+    span_sections,
 )
 from .monitor import DEFAULT_INTERVAL_NS, ResourceMonitor, SeriesSummary
 from .profiler import (
@@ -91,8 +88,6 @@ __all__ = [
     "ResourceMonitor",
     "RunProfile",
     "SPAN_HOPS",
-    "SPAN_LEDGER_SCHEMA",
-    "STATEFUL_LEDGER_SCHEMA",
     "SeriesSummary",
     "Severity",
     "SpanRecord",
@@ -106,7 +101,6 @@ __all__ = [
     "analyze_bottlenecks",
     "attribution_gap",
     "build_ledger",
-    "build_span_ledger",
     "chrome_trace_events",
     "coflow_critical_paths",
     "diff_ledgers",
@@ -116,9 +110,9 @@ __all__ = [
     "profile_run",
     "span_chrome_events",
     "span_overview_series",
+    "span_sections",
     "text_report",
     "to_chrome_trace",
     "write_chrome_trace",
     "write_ledger",
-    "write_span_ledger",
 ]

@@ -1,26 +1,35 @@
-"""Run ledgers: one JSON artifact per run, and the ``repro diff`` comparator.
+"""Run ledgers: one JSON document per run, and the ``repro diff`` comparator.
 
-A *run ledger* is the machine-readable record of one monitored run:
-workload identity and knobs, the git SHA it ran at, per-section series
-summaries from the :class:`~repro.telemetry.monitor.ResourceMonitor`,
-and the PR 3 latency-attribution table.  Ledgers exist to be *diffed*:
-``python -m repro diff A.json B.json`` compares two ledgers
-series-by-series and emits a verdict table — improved / regressed /
-unchanged — with a non-zero exit when any series regressed past the
-threshold.  That gives CI (and every future perf PR) a one-command
-answer to "did this change move queue pressure or utilization?".
+A *run ledger* is the machine-readable record of one run, whichever
+subcommand made it: ``monitor``, ``fabric``, ``serve``, ``spans``,
+``stateful``, a campaign cell or a campaign report.  This module is the
+only one that knows the format.  Every ledger is one
+:data:`LEDGER_SCHEMA` document built by :func:`build_ledger`::
 
-Diff semantics: most monitored series are *pressure* metrics (occupancy,
-backlog, access counts, loop depth) or utilizations — for them a higher
-mean at the same workload means more contention, so **lower is better**.
-Serve-mode ledgers (``repro.serve_ledger/1``, docs/SERVING.md) add
-goodness metrics — throughput, SLO compliance — where higher is better;
-a series can declare its polarity with a ``direction`` field in its
-summary (``"higher"``/``"lower"``), and otherwise name-pattern defaults
-apply (:func:`series_direction`).  The verdict compares mean values;
-peaks are reported alongside for context.  A series present in only one
-ledger is ``added``/``removed`` (structural, never a regression by
-itself).
+    {"schema": "repro.run_ledger/2", "workload": ..., "git_sha": ...,
+     "config": {...}, "sections": [...], <named payloads>}
+
+``config`` holds every run parameter, once.  Each section is
+``{"label", "series", ...}``: ``series`` maps a name to a summary
+(``samples``/``mean``/``peak``/``p99``/``last``), and a section may add
+terminal counts, ``counters`` and its own payloads (a monitor section's
+``attribution`` and ``littles_law``).  Document-level payloads are named
+by their producer: ``windows``, ``slo`` and ``totals`` (serve),
+``critical_paths`` (spans), ``campaign`` (campaign reports), and
+``totals`` again where a campaign reads a run's own numbers (fabric,
+stateful and single-switch cell ledgers).
+
+Ledgers exist to be *diffed*: ``python -m repro diff A.json B.json``
+compares two ledgers series-by-series and emits a verdict table —
+improved / regressed / unchanged — with a non-zero exit when any series
+regressed past the threshold.  The verdict compares mean values; peaks
+are reported alongside for context.  Which way a series is better comes
+from one table, :data:`HIGHER_IS_BETTER`: the goodness metrics it names
+(throughput, SLO compliance, detection and hit rates, span coverage)
+improve when they rise, and every other series — occupancy, backlog,
+access counts, loop depth, utilization, latency — is a pressure metric
+that improves when it falls.  A series present in only one ledger is
+``added``/``removed`` (structural, never a regression by itself).
 """
 
 from __future__ import annotations
@@ -33,51 +42,31 @@ from pathlib import Path
 
 from ..errors import ConfigError
 
-#: Ledger format identifier; bump the suffix on breaking schema changes.
-LEDGER_SCHEMA = "repro.run_ledger/1"
+#: The one ledger format identifier; bump the suffix on breaking changes.
+LEDGER_SCHEMA = "repro.run_ledger/2"
 
-#: Serve-mode ledger format (window series + SLO summary, docs/SERVING.md).
-#: Shares the sections/series shape with run ledgers, so ``repro diff``
-#: accepts both families.
-SERVE_LEDGER_SCHEMA = "repro.serve_ledger/1"
-
-#: Sampled-span ledger format (per-hop span totals + coverage,
-#: docs/SPANS.md).  Same sections/series shape again, so span ledgers
-#: diff with the same comparator.
-SPAN_LEDGER_SCHEMA = "repro.span_ledger/1"
-
-#: Stateful-primitive ledger format (per-primitive state accesses,
-#: transition counts, detection quality, compile divergence —
-#: docs/PRIMITIVES.md).  Same sections/series shape, same comparator.
-STATEFUL_LEDGER_SCHEMA = "repro.stateful_ledger/1"
-
-#: Schema families :func:`load_ledger` accepts (prefix match on the part
-#: before the version suffix).
-LEDGER_FAMILIES = (
-    "repro.run_ledger",
-    "repro.serve_ledger",
-    "repro.span_ledger",
-    "repro.stateful_ledger",
-)
-
-#: Name fragments that mark a series as higher-is-better when its summary
-#: carries no explicit ``direction`` field.  ``coverage`` and ``sampled``
-#: mark the span-ledger goodness metrics (span coverage, sampled-mode
-#: events/s): losing sampled spans or sampled-path throughput at the same
-#: workload is the regression, not the improvement.  ``hit_rate`` and
-#: ``detection_rate`` are the stateful-ledger quality metrics (cache
-#: hits, flagged attackers / found heavy keys); ``goodput`` already
-#: covers the token bucket's ``goodput_pps``.
-HIGHER_IS_BETTER_MARKERS = (
-    "throughput",
-    "goodput",
-    "compliance",
-    "delivered",
-    "completed",
-    "coverage",
-    "sampled",
-    "hit_rate",
-    "detection_rate",
+#: The series that are better when they rise: delivered and offered
+#: traffic, throughput and completed coflows (serve windows, stateful
+#: runs), SLO compliance, the stateful primitives' quality metrics
+#: (token-bucket goodput, detection and cache-hit rates) and span
+#: sampling coverage and counts.  Every other series is lower-is-better.
+HIGHER_IS_BETTER = frozenset(
+    {
+        "delivered",
+        "offered",
+        "offered_pps",
+        "throughput_pps",
+        "coflows_completed",
+        "latency_samples",
+        "slo.compliance",
+        "goodput_pps",
+        "detection_rate",
+        "hit_rate",
+        "span.coverage",
+        "span.packets_sampled",
+        "span.count",
+        "span.records",
+    }
 )
 
 #: Default relative-change tolerance (fraction) before a verdict flips.
@@ -104,41 +93,35 @@ def git_sha() -> str | None:
 
 
 def build_ledger(
-    workload: str,
-    interval_ns: float,
-    sections: list[dict],
-    config: dict | None = None,
+    workload: str, config: dict, sections: list[dict], **payloads
 ) -> dict:
     """Assemble a ledger document (see :data:`LEDGER_SCHEMA`).
 
-    Each entry of ``sections`` must carry ``label`` and ``series``
-    (name -> :meth:`~repro.telemetry.monitor.SeriesSummary.to_json`
-    dicts); ``attribution``/``counters``/terminal counts are optional.
+    ``config`` holds the run's parameters; each entry of ``sections``
+    carries ``label`` and ``series`` (name ->
+    :meth:`~repro.telemetry.monitor.SeriesSummary.to_json` dicts).
+    ``payloads`` become the document's named top-level payloads.
     """
     return {
         "schema": LEDGER_SCHEMA,
         "workload": workload,
-        "interval_ns": interval_ns,
         "git_sha": git_sha(),
-        "config": config or {},
+        "config": config,
         "sections": sections,
+        **payloads,
     }
 
 
-def point(value: float, direction: str | None = None) -> dict:
-    """A single-sample series summary, for a scalar run outcome;
-    ``direction`` tags its polarity for ``repro diff``."""
+def point(value: float) -> dict:
+    """A single-sample series summary, for a scalar run outcome."""
     value = float(value)
-    summary = {
+    return {
         "samples": 1,
         "mean": value,
         "peak": value,
         "p99": value,
         "last": value,
     }
-    if direction is not None:
-        summary["direction"] = direction
-    return summary
 
 
 @dataclass
@@ -172,6 +155,15 @@ class SwitchSection:
             }
         return entry
 
+    def totals(self) -> dict:
+        """The run's own numbers, as a single-switch ledger's ``totals``."""
+        result = self.result
+        return {
+            "duration_s": result.duration_s,
+            "delivered": len(result.delivered),
+            "recirculated": result.recirculated_packets,
+        }
+
 
 def write_ledger(path: str | Path, ledger: dict) -> Path:
     """Write a ledger as deterministic JSON; returns the path written.
@@ -187,7 +179,7 @@ def write_ledger(path: str | Path, ledger: dict) -> Path:
 
 
 def load_ledger(path: str | Path) -> dict:
-    """Read and validate a ledger file."""
+    """Read a ledger file; refuses any schema but :data:`LEDGER_SCHEMA`."""
     source = Path(path)
     try:
         document = json.loads(source.read_text())
@@ -195,11 +187,10 @@ def load_ledger(path: str | Path) -> dict:
         raise ConfigError(f"{source} is not valid JSON: {error}")
     if not isinstance(document, dict) or "schema" not in document:
         raise ConfigError(f"{source} is not a run ledger (no schema field)")
-    schema = str(document["schema"])
-    if not any(schema.startswith(family) for family in LEDGER_FAMILIES):
+    if document["schema"] != LEDGER_SCHEMA:
         raise ConfigError(
-            f"{source} has schema {schema!r}, expected one of "
-            f"{', '.join(LEDGER_FAMILIES)}"
+            f"{source} has schema {document['schema']!r}, expected "
+            f"{LEDGER_SCHEMA!r}"
         )
     return document
 
@@ -325,25 +316,10 @@ def _series_of(section: dict) -> dict[str, dict]:
     return series
 
 
-def series_direction(name: str, *summaries: dict | None) -> str:
-    """Which way a series is better: ``"lower"`` (default) or ``"higher"``.
-
-    An explicit ``direction`` field in either summary wins (first match
-    in the order given, so callers pass the new summary first); otherwise
-    the name is matched against :data:`HIGHER_IS_BETTER_MARKERS` —
-    throughput-shaped series read higher-is-better, everything else
-    keeps the pressure-metric default.
-    """
-    for summary in summaries:
-        if summary is not None:
-            declared = summary.get("direction")
-            if declared in ("higher", "lower"):
-                return declared
-    lowered = name.lower()
-    for marker in HIGHER_IS_BETTER_MARKERS:
-        if marker in lowered:
-            return "higher"
-    return "lower"
+def series_direction(name: str) -> str:
+    """Which way a series is better: ``"higher"`` for the names in
+    :data:`HIGHER_IS_BETTER`, ``"lower"`` for every other series."""
+    return "higher" if name in HIGHER_IS_BETTER else "lower"
 
 
 def _verdict(
@@ -411,7 +387,7 @@ def diff_ledgers(
         for name in sorted(set(base_series) | set(new_series)):
             old = base_series.get(name)
             current = new_series.get(name)
-            direction = series_direction(name, current, old)
+            direction = series_direction(name)
             if old is None:
                 diff.rows.append(
                     DiffRow(

@@ -82,6 +82,19 @@ class SeriesSummary:
     p99: float
     last: float
 
+    @classmethod
+    def of(cls, name: str, values: list[float]) -> "SeriesSummary":
+        """The digest of a non-empty column of values, in sample order."""
+        ordered = sorted(values)
+        return cls(
+            name=name,
+            samples=len(values),
+            mean=fsum(values) / len(values),
+            peak=ordered[-1],
+            p99=_percentile(ordered, 99.0),
+            last=values[-1],
+        )
+
     def to_json(self) -> dict:
         return {
             "samples": self.samples,
@@ -239,21 +252,11 @@ class ResourceMonitor:
 
     def summaries(self) -> dict[str, SeriesSummary]:
         """Per-series digests (peak/mean/p99/last) for the run ledger."""
-        out: dict[str, SeriesSummary] = {}
-        for name in self._names:
-            column = self._columns[name]
-            if not column:
-                continue
-            ordered = sorted(column)
-            out[name] = SeriesSummary(
-                name=name,
-                samples=len(column),
-                mean=fsum(column) / len(column),
-                peak=ordered[-1],
-                p99=_percentile(ordered, 99.0),
-                last=column[-1],
-            )
-        return out
+        return {
+            name: SeriesSummary.of(name, self._columns[name])
+            for name in self._names
+            if self._columns[name]
+        }
 
     # --- export -----------------------------------------------------------------
 

@@ -34,17 +34,19 @@ ends, and the multicast copies' parents.
 **Exactness.**  Every tile boundary is a float the simulator itself
 computed and passed downstream, recorded verbatim, so consecutive tiles
 share bit-identical boundaries.  The profiler *verifies* the tiling —
-any gap or overlap raises — and accounts durations in exact rational
-arithmetic (:class:`fractions.Fraction` represents every float exactly),
-so per-component attribution sums to the end-to-end latency with
-**zero** residual, not residual-up-to-rounding.
+any gap or overlap raises — and sums each bucket's durations with
+:func:`math.fsum` over the tiles' boundaries (``end_s`` and
+``-start_s``), which returns the correctly rounded value of the exact
+sum.  The residual is the same kind of sum over the end-to-end latency's
+boundaries and every tile boundary, negated: on a verified tiling the
+boundaries cancel exactly, so per-component attribution sums to the
+end-to-end latency with **zero** residual, not residual-up-to-rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from ..errors import SimulationError
 from ..sim.stats import Histogram
@@ -202,28 +204,31 @@ def _profile_packet(
             f"state at {end_s!r}"
         )
 
-    exact: dict[str, Fraction] = {}
-    instances: dict[str, dict[str, Fraction]] = {}
+    # Boundaries per bucket and per instance, summed exactly by fsum.
+    buckets: dict[str, list[float]] = {}
+    instances: dict[str, dict[str, list[float]]] = {}
+    residual = [end_s, -origin_s]
     for tile in ordered:
-        duration = Fraction(tile.end_s) - Fraction(tile.start_s)
-        exact[tile.hop] = exact.get(tile.hop, Fraction(0)) + duration
-        per = instances.setdefault(tile.component, {})
-        per[tile.hop] = per.get(tile.hop, Fraction(0)) + duration
-
-    residual = Fraction(end_s) - Fraction(origin_s) - sum(exact.values())
+        buckets.setdefault(tile.hop, []).extend((tile.end_s, -tile.start_s))
+        instances.setdefault(tile.component, {}).setdefault(
+            tile.hop, []
+        ).extend((tile.end_s, -tile.start_s))
+        residual.extend((-tile.end_s, tile.start_s))
     return PacketProfile(
         packet_id=packet_id,
         terminal=terminal,
         origin_s=origin_s,
         end_s=end_s,
         segments=ordered,
-        components={bucket: float(value) for bucket, value in exact.items()},
+        components={
+            bucket: math.fsum(bounds) for bucket, bounds in buckets.items()
+        },
         instances={
-            path: {bucket: float(v) for bucket, v in per.items()}
+            path: {bucket: math.fsum(b) for bucket, b in per.items()}
             for path, per in instances.items()
         },
         recirculations=sum(1 for t in ordered if t.hop == "recirculation"),
-        unattributed_s=float(residual),
+        unattributed_s=math.fsum(residual),
     )
 
 

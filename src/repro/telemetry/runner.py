@@ -19,7 +19,7 @@ from ..errors import ConfigError, SimulationError
 from ..units import GBPS
 from .events import Category
 from .exporters import chrome_trace_events, text_report, write_chrome_trace
-from .ledger import SwitchSection
+from .ledger import SwitchSection, build_ledger, write_ledger
 from .monitor import DEFAULT_INTERVAL_NS, ResourceMonitor
 from .session import Telemetry
 
@@ -569,15 +569,26 @@ def run_trace(
 
 
 @dataclass
-class MonitorSection:
-    """One monitored switch run: series, attribution, cross-checks."""
+class MonitorSection(SwitchSection):
+    """One monitored switch run: its section, attribution and the
+    Little's-law cross-checks of its traffic managers."""
 
-    label: str
-    telemetry: Telemetry
-    result: object  # SwitchRunResult
-    monitor: object  # repro.telemetry.monitor.ResourceMonitor
     attribution: dict
-    littles: list = field(default_factory=list)
+    littles: list
+
+    def to_json(self) -> dict:
+        entry = super().to_json()
+        entry["attribution"] = self.attribution
+        entry["littles_law"] = [
+            {
+                "component": c.component,
+                "predicted_occupancy": c.predicted_occupancy,
+                "observed_occupancy": c.observed_occupancy,
+                "consistent": c.consistent,
+            }
+            for c in self.littles
+        ]
+        return entry
 
 
 @dataclass
@@ -637,58 +648,28 @@ def run_monitor(
     counter tracks.
     """
     from .attribution import AttributionTable, monitor_littles_checks
-    from .ledger import build_ledger, write_ledger
 
     if interval_ns is None:
         interval_ns = DEFAULT_INTERVAL_NS
 
-    sections: list[MonitorSection] = []
-    for section, profile in _profiled_sections(
-        workload, "monitor", seed, interval_ns
-    ):
-        monitor = section.telemetry.monitor
-        sections.append(
-            MonitorSection(
-                section.label,
-                section.telemetry,
-                section.result,
-                monitor,
-                AttributionTable(profile).to_json(),
-                monitor_littles_checks(
-                    profile, monitor, section.result.duration_s
-                ),
-            )
+    sections = [
+        MonitorSection(
+            section.label,
+            section.telemetry,
+            section.result,
+            AttributionTable(profile).to_json(),
+            monitor_littles_checks(
+                profile, section.telemetry.monitor, section.result.duration_s
+            ),
         )
-
+        for section, profile in _profiled_sections(
+            workload, "monitor", seed, interval_ns
+        )
+    ]
     ledger = build_ledger(
-        workload=workload,
-        interval_ns=interval_ns,
-        sections=[
-            {
-                "label": s.label,
-                "duration_s": s.result.duration_s,
-                "delivered": len(s.result.delivered),
-                "consumed": s.result.consumed,
-                "recirculated": s.result.recirculated_packets,
-                "samples": len(s.monitor),
-                "series": {
-                    name: summary.to_json()
-                    for name, summary in s.monitor.summaries().items()
-                },
-                "attribution": s.attribution,
-                "littles_law": [
-                    {
-                        "component": c.component,
-                        "predicted_occupancy": c.predicted_occupancy,
-                        "observed_occupancy": c.observed_occupancy,
-                        "consistent": c.consistent,
-                    }
-                    for c in s.littles
-                ],
-                "counters": s.result.counters,
-            }
-            for s in sections
-        ],
+        workload,
+        {"interval_ns": interval_ns},
+        [section.to_json() for section in sections],
     )
     ledger_path = write_ledger(
         ledger_out or f"ledger_{workload}.json", ledger
@@ -700,9 +681,10 @@ def run_monitor(
         f"(interval {interval_ns:g} ns) -> {ledger_path}"
     )
     for section in sections:
-        summaries = section.monitor.summaries()
+        monitor = section.telemetry.monitor
+        summaries = monitor.summaries()
         run.lines.append(
-            f"  {section.label}: {len(section.monitor)} samples x "
+            f"  {section.label}: {len(monitor)} samples x "
             f"{len(summaries)} series, "
             f"duration {section.result.duration_s * 1e9:.0f} ns"
         )
@@ -725,7 +707,7 @@ def run_monitor(
     if csv_out is not None:
         base = Path(csv_out)
         for section in sections:
-            path = section.monitor.write_csv(
+            path = section.telemetry.monitor.write_csv(
                 _sectioned_path(base, section.label, len(sections))
             )
             run.csv_paths.append(path)
@@ -735,7 +717,9 @@ def run_monitor(
         events: list[dict] = []
         for section in sections:
             events.extend(
-                section.monitor.chrome_counter_events(pid=section.label)
+                section.telemetry.monitor.chrome_counter_events(
+                    pid=section.label
+                )
             )
         run.chrome_path = write_chrome_trace(chrome_out, events)
         run.lines.append(
@@ -821,22 +805,15 @@ def run_spans(
     head-based :class:`~repro.telemetry.sampler.SpanSampler` — the fast
     path stays live, only the sampled subset leaves per-hop records —
     then attributes each coflow's sampled completion time to its
-    dominant hop.  ``ledger_out`` writes one combined
-    ``repro.span_ledger/1`` (per-switch hop digests, coverage, critical
-    paths; byte-identical per seed modulo ``git_sha``, diffable with
-    ``repro diff``); ``chrome_out`` writes the fabric-wide timeline with
+    dominant hop.  ``ledger_out`` writes one run ledger for both targets
+    (per-switch hop digests, coverage, critical paths; byte-identical per
+    seed modulo ``git_sha``, diffable with ``repro diff``); the raw
+    per-hop records go to ``chrome_out``, the fabric-wide timeline with
     one track per switch and link.
     """
     from ..fabric import run_fabric
-    from .ledger import SPAN_LEDGER_SCHEMA, git_sha
     from .sampler import SpanSampler
-    from .spans import (
-        SpanRecorder,
-        build_span_ledger,
-        coflow_critical_paths,
-        span_chrome_events,
-        write_span_ledger,
-    )
+    from .spans import SpanRecorder, span_chrome_events, span_sections
 
     if target == "both":
         targets: tuple[str, ...] = ("adcp", "rmt")
@@ -849,43 +826,32 @@ def run_spans(
 
     sections: list[SpansSection] = []
     merged_sections: list[dict] = []
-    critical: dict[str, list] = {}
     for name in targets:
         recorder = SpanRecorder(SpanSampler(seed=seed, sample=sample))
         fabric_run = run_fabric(
             topology, workload, target=name, seed=seed, spans=recorder
         )
-        paths = coflow_critical_paths(
-            recorder.records, fabric_run.span_coflows
-        )
+        own, paths = span_sections(recorder, fabric_run.span_coflows)
         sections.append(SpansSection(name, recorder, fabric_run, paths))
-        doc = build_span_ledger(
-            workload,
-            recorder,
-            seed=seed,
-            span_coflows=fabric_run.span_coflows,
-            config={"topology": topology, "target": name},
-        )
         merged_sections.extend(
-            {"label": f"{name}-{sec['label']}", "series": sec["series"]}
-            for sec in doc["sections"]
+            {**section, "label": f"{name}-{section['label']}"}
+            for section in own
         )
-        critical[name] = doc["critical_paths"]
 
-    # One combined document for the whole invocation.  The raw per-hop
-    # records live in the Chrome export; the ledger keeps the diffable
-    # digests so committed baselines stay small.
-    ledger = {
-        "schema": SPAN_LEDGER_SCHEMA,
-        "workload": workload,
-        "topology": topology,
-        "targets": list(targets),
-        "seed": seed,
-        "sample": sample,
-        "git_sha": git_sha(),
-        "sections": merged_sections,
-        "critical_paths": critical,
-    }
+    ledger = build_ledger(
+        workload,
+        {
+            "topology": topology,
+            "targets": list(targets),
+            "seed": seed,
+            "sample": sample,
+        },
+        merged_sections,
+        critical_paths={
+            section.target: [p.to_json() for p in section.critical_paths]
+            for section in sections
+        },
+    )
 
     run = SpansRun(topology, workload, sample, seed, sections, ledger)
     run.lines.append(
@@ -908,7 +874,7 @@ def run_spans(
             )
 
     if ledger_out is not None:
-        run.ledger_path = write_span_ledger(ledger_out, ledger)
+        run.ledger_path = write_ledger(ledger_out, ledger)
         run.lines.append(f"  span ledger -> {run.ledger_path}")
     if chrome_out is not None:
         events: list[dict] = []

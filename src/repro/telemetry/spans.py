@@ -29,9 +29,7 @@ only record: they never change the path a packet takes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
-from .ledger import SPAN_LEDGER_SCHEMA, git_sha, write_ledger
 from .sampler import SpanSampler
 
 #: Span hop names, in pipeline order: the attribution buckets a switch
@@ -387,71 +385,55 @@ def span_chrome_events(
     return events
 
 
-def _summary(durations: list[float], direction: str | None = None) -> dict:
+def _summary(durations: list[float]) -> dict:
     """A ``SeriesSummary``-shaped digest of one hop's durations."""
     count = len(durations)
-    if count:
-        ordered = sorted(durations)
-        total = sum(ordered)
-        summary = {
-            "samples": count,
-            "mean": total / count,
-            "peak": ordered[-1],
-            "p99": ordered[min(count - 1, (99 * count) // 100)],
-            "last": durations[-1],
-            "total": total,
-        }
-    else:
-        summary = {
+    if not count:
+        return {
             "samples": 0, "mean": 0.0, "peak": 0.0,
             "p99": 0.0, "last": 0.0, "total": 0.0,
         }
-    if direction is not None:
-        summary["direction"] = direction
-    return summary
+    ordered = sorted(durations)
+    total = sum(ordered)
+    return {
+        "samples": count,
+        "mean": total / count,
+        "peak": ordered[-1],
+        "p99": ordered[min(count - 1, (99 * count) // 100)],
+        "last": durations[-1],
+        "total": total,
+    }
 
 
-def _scalar(value: float, direction: str | None = None) -> dict:
-    summary = {"samples": 1, "mean": value, "peak": value, "p99": value,
-               "last": value, "total": value}
-    if direction is not None:
-        summary["direction"] = direction
-    return summary
+def _scalar(value: float) -> dict:
+    return {"samples": 1, "mean": value, "peak": value, "p99": value,
+            "last": value, "total": value}
 
 
 def span_overview_series(recorder: SpanRecorder) -> dict:
     """The ``spans`` overview section's series: sampling coverage and
-    record counts, direction-tagged so ``repro diff`` knows more
-    coverage is better.  Shared by span ledgers and the serve ledger."""
+    record counts.  Shared by span ledgers and the serve ledger."""
     sampler = recorder.sampler
     span_ids = {record.span for record in recorder.records}
     return {
-        "span.coverage": _scalar(sampler.coverage, "higher"),
+        "span.coverage": _scalar(sampler.coverage),
         "span.packets_offered": _scalar(float(sampler.offered)),
-        "span.packets_sampled": _scalar(float(sampler.admitted), "higher"),
-        "span.count": _scalar(float(len(span_ids)), "higher"),
-        "span.records": _scalar(float(len(recorder.records)), "higher"),
+        "span.packets_sampled": _scalar(float(sampler.admitted)),
+        "span.count": _scalar(float(len(span_ids))),
+        "span.records": _scalar(float(len(recorder.records))),
     }
 
 
-def build_span_ledger(
-    workload: str,
-    recorder: SpanRecorder,
-    *,
-    seed: int,
-    span_coflows: dict[int, str] | None = None,
-    config: dict | None = None,
-) -> dict:
-    """Assemble a ``repro.span_ledger/1`` document.
+def span_sections(
+    recorder: SpanRecorder, span_coflows: dict[int, str]
+) -> tuple[list[dict], list[CoflowCriticalPath]]:
+    """A recorder's ledger sections and its coflows' critical paths.
 
     Sections: one per switch/link (series ``span.<hop>_s``, duration
-    digests), a ``spans`` overview (coverage and counts; coverage is
-    direction-tagged higher-is-better), and — when ``span_coflows`` is
-    given — a ``critical_path`` section with each coflow's sampled CCT
-    and dominant-hop attribution.  Byte-identical per seed modulo
-    ``git_sha``; diffable with ``repro diff``.
+    digests), a ``spans`` overview (coverage and counts), and — when
+    ``span_coflows`` maps any span — a ``critical_path`` section with
+    each coflow's sampled CCT and dominant-hop attribution.
     """
-    sampler = recorder.sampler
     sections: list[dict] = []
     durations: dict[str, dict[str, list[float]]] = {}
     for record in recorder.records:
@@ -467,9 +449,8 @@ def build_span_ledger(
 
     sections.append({"label": "spans", "series": span_overview_series(recorder)})
 
-    critical: list[dict] = []
+    paths = coflow_critical_paths(recorder.records, span_coflows)
     if span_coflows:
-        paths = coflow_critical_paths(recorder.records, span_coflows)
         series = {}
         for path in paths:
             series[f"{path.coflow}.cct_s"] = _scalar(path.cct_s)
@@ -482,21 +463,4 @@ def build_span_ledger(
                 dominant_total
             )
         sections.append({"label": "critical_path", "series": series})
-        critical = [path.to_json() for path in paths]
-
-    return {
-        "schema": SPAN_LEDGER_SCHEMA,
-        "workload": workload,
-        "seed": seed,
-        "sample": sampler.sample,
-        "git_sha": git_sha(),
-        "config": config or {},
-        "sections": sections,
-        "critical_paths": critical,
-        "spans": [record.to_json() for record in recorder.records],
-    }
-
-
-def write_span_ledger(path: str | Path, ledger: dict) -> Path:
-    """Deterministic, atomic span-ledger write (same format as ledgers)."""
-    return write_ledger(path, ledger)
+    return sections, paths

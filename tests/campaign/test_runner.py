@@ -298,3 +298,56 @@ def test_coflow_mix_cell_validates_app_names():
 
     with pytest.raises(ConfigError, match="coflow-mix app"):
         run_cell("coflow-mix", {"app": "nope", "seed": 1})
+
+
+def test_fabric_cell_metrics_count_each_run_once(tmp_path):
+    """A fabric ledger holds one section per switch plus the fabric
+    section, each carrying the run's duration; a cell's metrics are the
+    run's own numbers, whatever the switch count."""
+    from repro.fabric import run_fabric
+
+    cells = (
+        {"topology": "leaf-spine-2x2", "placement": "central", "seed": 7},
+        {"topology": "fat-tree-k4", "placement": "central", "seed": 7},
+        {"topology": "leaf-spine-2x2", "target": "rmt", "seed": 7},
+    )
+    spec = CampaignSpec(
+        name="fabric-metrics", target="fabric", mode="list", cells=cells
+    )
+    run = _run(spec, tmp_path, "a")
+    assert run.exit_code == 0
+    reported = run.report["campaign"]["cells"]
+    assert len(reported) == len(cells)
+    for params, cell in zip(cells, reported):
+        fabric = run_fabric(
+            params["topology"],
+            target=params.get("target", "adcp"),
+            placement=params.get("placement", "ingress"),
+            seed=params["seed"],
+        )
+        assert cell["metrics"] == {
+            "duration_s": fabric.duration_s,
+            "delivered": float(fabric.delivered_to_hosts),
+            "recirculated": float(fabric.recirculated),
+            "max_cct_s": fabric.max_cct_s,
+        }
+    assert reported[2]["metrics"]["recirculated"] > 0
+
+
+def test_stateful_cell_totals_sum_its_target_runs():
+    """A stateful cell reports what its target sections ran: delivered
+    packets and run time summed over the targets."""
+    from repro.campaign import run_cell
+
+    ledger = run_cell(
+        "stateful",
+        {"workload": "synflood", "flows": 32, "packets": 120, "seed": 1},
+    )
+    runs = [
+        s["series"] for s in ledger["sections"] if s["label"] != "compile"
+    ]
+    assert len(runs) == 2
+    assert ledger["totals"] == {
+        "delivered": sum(int(r["delivered"]["mean"]) for r in runs),
+        "duration_s": sum(r["duration_ns"]["mean"] * 1e-9 for r in runs),
+    }

@@ -5,12 +5,13 @@ bytes of each file in ``baselines/`` against a fresh run, so a change of
 ledger layout has to regenerate them.  This test pins what the bytes
 *mean*: it walks each baseline into ``{logical path: value}`` and hashes
 the canonical JSON of that dict.  The paths name where a value sat in
-the layout the digests were taken from:
+the layout the digests were taken from, the four-schema layout before
+the one run-ledger format:
 
 - ``workload``;
 - ``config.<key>`` for every run parameter, whether it sat in
   ``config``, in a stateful ledger's ``params`` or loose at the top
-  level (two copies of one parameter must agree);
+  level (two copies of one parameter had to agree);
 - ``section.<label>.<key>`` for the section scalars in
   :data:`SECTION_SCALARS`;
 - ``series.<label>.<name>.<stat>`` for every summary statistic;
@@ -22,7 +23,14 @@ the layout the digests were taken from:
 
 ``schema`` and ``git_sha`` are left out.  A layout change may rewrite
 the reader below; the digests stay as they are, so a value that moves
-keeps its old path and a refresh that moves a number fails here.
+keeps its old path and a refresh that moves a number fails here.  The
+reader walks the one run-ledger layout: every parameter in ``config``.
+Two values it no longer finds where they sat are read back from the
+series they copied: a stateful target section's ``delivered`` and
+``duration_s`` (``int(delivered.mean)`` and ``duration_ns.mean * 1e-9``).
+A value the layout added, the ``totals`` of fabric, stateful and
+campaign-cell ledgers, is outside this pin (tests/campaign/test_runner.py
+checks it).
 """
 
 from __future__ import annotations
@@ -56,8 +64,15 @@ DOCUMENT_PAYLOADS = (
     "windows", "slo", "totals", "critical_paths", "campaign",
 )
 
-#: Top-level keys that are neither a run parameter nor a payload.
-_FRAME = ("schema", "git_sha", "workload", "config", "params", "sections")
+#: Top-level keys that are not payloads.
+_FRAME = ("schema", "git_sha", "workload", "config", "sections")
+
+#: Section scalars a stateful target section now leaves to its series:
+#: scalar -> (series, value of the series' mean).
+_FROM_SERIES = {
+    "delivered": ("delivered", int),
+    "duration_s": ("duration_ns", lambda mean: mean * 1e-9),
+}
 
 
 def _canonical(value) -> str:
@@ -74,28 +89,28 @@ def _put(values: dict, path: str, value) -> None:
 
 def logical_values(document: dict) -> dict:
     """``{logical path: value}`` for one ledger document."""
+    extra = set(document) - set(_FRAME) - set(DOCUMENT_PAYLOADS)
+    assert not extra, f"top-level keys outside the layout: {sorted(extra)}"
     values: dict = {"workload": document["workload"]}
-    for key, value in document.get("config", {}).items():
+    for key, value in document["config"].items():
         _put(values, f"config.{key}", value)
-    for key, value in document.get("params", {}).items():
-        _put(values, f"config.{key}", value)
-    for key, value in document.items():
-        if key not in _FRAME and key not in DOCUMENT_PAYLOADS:
-            _put(values, f"config.{key}", value)
     for section in document["sections"]:
         label = section["label"]
+        series = section["series"]
         for key in SECTION_SCALARS:
             if key in section:
                 _put(values, f"section.{label}.{key}", section[key])
-        for name, summary in section["series"].items():
+            elif key in _FROM_SERIES and _FROM_SERIES[key][0] in series:
+                name, convert = _FROM_SERIES[key]
+                _put(
+                    values,
+                    f"section.{label}.{key}",
+                    convert(series[name]["mean"]),
+                )
+        for name, summary in series.items():
             for stat, value in summary.items():
-                if stat != "direction":
-                    _put(values, f"series.{label}.{name}.{stat}", value)
-            _put(
-                values,
-                f"direction.{label}.{name}",
-                series_direction(name, summary),
-            )
+                _put(values, f"series.{label}.{name}.{stat}", value)
+            _put(values, f"direction.{label}.{name}", series_direction(name))
         if "counters" in section:
             _put(values, f"counters.{label}", section["counters"])
         for payload in SECTION_PAYLOADS:
@@ -104,6 +119,9 @@ def logical_values(document: dict) -> dict:
                     values, f"{payload}.{label}", _canonical(section[payload])
                 )
     for payload in DOCUMENT_PAYLOADS:
+        # Only serve ledgers (the ones with ``windows``) carried totals.
+        if payload == "totals" and "windows" not in document:
+            continue
         if payload in document:
             _put(values, payload, _canonical(document[payload]))
     return values

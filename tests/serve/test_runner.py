@@ -10,7 +10,11 @@ from repro.__main__ import main
 from repro.errors import ConfigError
 from repro.serve.replay import MAX_WINDOWS
 from repro.serve.runner import run_serve
-from repro.telemetry.ledger import SERVE_LEDGER_SCHEMA, load_ledger
+from repro.telemetry.ledger import (
+    LEDGER_SCHEMA,
+    load_ledger,
+    series_direction,
+)
 
 _FAST = dict(duration_ns=4_000.0, window_ns=500.0, rate=0.8)
 
@@ -84,14 +88,16 @@ class TestRunShape:
 
     def test_ledger_schema_and_sections(self, run):
         ledger = run.ledger()
-        assert ledger["schema"] == SERVE_LEDGER_SCHEMA
+        assert ledger["schema"] == LEDGER_SCHEMA
+        assert ledger["config"]["window_ns"] == run.window_ns
         labels = [s["label"] for s in ledger["sections"]]
         assert labels[0] == "serve"
         assert set(run.topology.switch_names) <= set(labels)
         serve = ledger["sections"][0]["series"]
-        assert serve["throughput_pps"]["direction"] == "higher"
-        assert serve["slo.compliance"]["direction"] == "higher"
-        assert serve["tm_occupancy"]["direction"] == "lower"
+        assert not any("direction" in summary for summary in serve.values())
+        assert series_direction("throughput_pps") == "higher"
+        assert series_direction("slo.compliance") == "higher"
+        assert series_direction("tm_occupancy") == "lower"
 
     def test_exit_code_zero_when_compliant(self, run):
         assert run.slo["verdict"] == "pass"
@@ -209,7 +215,7 @@ class TestServeCLI:
         )
         capsys.readouterr()
         ledger = load_ledger(ledger_path)
-        assert ledger["schema"] == SERVE_LEDGER_SCHEMA
+        assert ledger["schema"] == LEDGER_SCHEMA
         streamed = [
             json.loads(line)
             for line in stream_path.read_text().splitlines()

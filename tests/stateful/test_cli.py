@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.telemetry.ledger import STATEFUL_LEDGER_SCHEMA, load_ledger
+from repro.telemetry.ledger import LEDGER_SCHEMA, load_ledger
 
 _FAST = ["--flows", "32", "--packets", "120"]
 
@@ -50,7 +50,7 @@ class TestStatefulCLI:
         )
         capsys.readouterr()
         document = load_ledger(out)
-        assert document["schema"] == STATEFUL_LEDGER_SCHEMA
+        assert document["schema"] == LEDGER_SCHEMA
         assert document["workload"] == "heavyhitter"
 
     def test_diffable_with_repro_diff(self, tmp_path, capsys):

@@ -1,7 +1,7 @@
 """End-to-end stateful runs: both targets, both scopes, stable ledgers.
 
 The determinism contract mirrors the fabric/serve ledgers: one seed →
-one byte-identical ``repro.stateful_ledger/1`` artifact (modulo
+one byte-identical run ledger (modulo
 ``git_sha``), whatever the queue backend; a different seed moves the
 draws.  The compile section must carry the §3.2 divergence on every
 run.
@@ -22,6 +22,7 @@ from repro.stateful.workloads import (
     STATEFUL_WORKLOADS,
     build_single,
 )
+from repro.telemetry.ledger import series_direction
 
 _FAST = dict(flows=32, packets=160)
 
@@ -64,7 +65,7 @@ class TestSingleSwitchEndToEnd:
         for section in run.sections[:2]:
             assert section.series["rate_limited"]["mean"] > 0
             assert section.series["goodput_pps"]["mean"] > 0
-            assert section.series["goodput_pps"]["direction"] == "higher"
+            assert series_direction("goodput_pps") == "higher"
 
     def test_synflood_detects_attackers_cleanly(self):
         run = run_stateful("synflood", **_FAST)
@@ -84,7 +85,7 @@ class TestSingleSwitchEndToEnd:
         run = run_stateful("keycache", **_FAST)
         for section in run.sections[:2]:
             assert section.series["hit_rate"]["mean"] > 0
-            assert section.series["hit_rate"]["direction"] == "higher"
+            assert series_direction("hit_rate") == "higher"
             assert section.series["puts"]["mean"] > 0
 
 
@@ -111,14 +112,14 @@ class TestFabricEndToEnd:
             "heavyhitter", topology="leaf-spine-2x2", target="adcp",
             packets=64,
         )
-        assert fabric.ledger()["params"]["skew"] == FABRIC_SKEW
+        assert fabric.ledger()["config"]["skew"] == FABRIC_SKEW
         no_keys = run_stateful(
             "synflood", topology="leaf-spine-2x2", target="adcp",
             packets=64,
         )
-        assert no_keys.ledger()["params"]["skew"] is None
+        assert no_keys.ledger()["config"]["skew"] is None
         single = run_stateful("synflood", target="adcp", **_FAST)
-        assert single.ledger()["params"]["skew"] == DEFAULT_SKEW
+        assert single.ledger()["config"]["skew"] == DEFAULT_SKEW
         for skew in (3.0, 1.05, math.nan):
             with pytest.raises(ConfigError, match="topology 'single' only"):
                 run_stateful(
@@ -132,7 +133,7 @@ class TestFabricEndToEnd:
             "workload": "heavyhitter", "topology": "leaf-spine-2x2",
             "target": "adcp", "packets": 64, "seed": 1,
         }
-        assert run_cell("stateful", cell)["params"]["skew"] == FABRIC_SKEW
+        assert run_cell("stateful", cell)["config"]["skew"] == FABRIC_SKEW
         with pytest.raises(ConfigError, match="topology 'single' only"):
             run_cell("stateful", {**cell, "skew": 1.5})
 
@@ -192,7 +193,7 @@ class TestLedgerDeterminism:
         assert first == second
 
     def test_ledger_written_and_loadable(self, tmp_path):
-        from repro.telemetry.ledger import STATEFUL_LEDGER_SCHEMA, load_ledger
+        from repro.telemetry.ledger import LEDGER_SCHEMA, load_ledger
 
         out = tmp_path / "stateful.json"
         run = run_stateful(
@@ -200,7 +201,7 @@ class TestLedgerDeterminism:
         )
         assert run.ledger_path == out
         loaded = load_ledger(out)
-        assert loaded["schema"] == STATEFUL_LEDGER_SCHEMA
+        assert loaded["schema"] == LEDGER_SCHEMA
         assert loaded["workload"] == "tokenbucket"
         labels = [s["label"] for s in loaded["sections"]]
         assert labels == ["adcp:tokenbucket", "compile"]

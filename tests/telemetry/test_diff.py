@@ -13,7 +13,6 @@ from repro.errors import ConfigError
 from repro.telemetry.ledger import (
     DEFAULT_THRESHOLD,
     LEDGER_SCHEMA,
-    SERVE_LEDGER_SCHEMA,
     build_ledger,
     diff_ledgers,
     load_ledger,
@@ -35,8 +34,7 @@ def _ledger(series, label="s", workload="w", attribution=None):
     }
     if attribution is not None:
         section["attribution"] = attribution
-    return build_ledger(workload=workload, interval_ns=50.0,
-                        sections=[section])
+    return build_ledger(workload, {"interval_ns": 50.0}, [section])
 
 
 class TestLedgerIO:
@@ -63,6 +61,36 @@ class TestLedgerIO:
         bad.write_text(json.dumps({"schema": "something/else"}))
         with pytest.raises(ConfigError, match="schema"):
             load_ledger(bad)
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            "repro.run_ledger/1",
+            "repro.serve_ledger/1",
+            "repro.span_ledger/1",
+            "repro.stateful_ledger/1",
+        ],
+    )
+    def test_load_refuses_old_schema_ids(self, tmp_path, capsys, schema):
+        """The four retired ids fail with one line naming both ids, and
+        ``repro diff`` exits 2 on them."""
+        old = _ledger({"a.x": (1.0, 1.0)})
+        old["schema"] = schema
+        path = write_ledger(tmp_path / "old.json", old)
+        with pytest.raises(ConfigError) as error:
+            load_ledger(path)
+        message = str(error.value)
+        assert "\n" not in message
+        assert schema in message and LEDGER_SCHEMA in message
+        assert main(["diff", str(path), str(path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_one_layout(self):
+        ledger = build_ledger("w", {"seed": 1}, [], totals={"delivered": 3})
+        assert sorted(ledger) == [
+            "config", "git_sha", "schema", "sections", "totals", "workload",
+        ]
+        assert ledger["config"] == {"seed": 1}
 
 
 class TestVerdicts:
@@ -158,8 +186,8 @@ class TestDirections:
         assert row.direction == "lower"
 
     def test_throughput_increase_improves(self):
-        base = _ledger({"serve.throughput_pps": (10.0, 10.0)})
-        new = _ledger({"serve.throughput_pps": (20.0, 20.0)})
+        base = _ledger({"throughput_pps": (10.0, 10.0)})
+        new = _ledger({"throughput_pps": (20.0, 20.0)})
         diff = diff_ledgers(base, new)
         assert diff.exit_code == 0
         (row,) = diff.improvements
@@ -174,57 +202,26 @@ class TestDirections:
         assert row.series == "slo.compliance"
         assert row.direction == "higher"
 
-    def test_explicit_direction_field_wins(self):
-        # A series whose *name* says nothing: the summary's own
-        # ``direction`` field must override the lower-is-better default.
-        def tagged(mean):
-            section = {
-                "label": "s",
-                "series": {
-                    "app.score": {
-                        "samples": 3, "mean": mean, "peak": mean,
-                        "p99": mean, "last": mean, "direction": "higher",
-                    }
-                },
-            }
-            return build_ledger(workload="w", interval_ns=50.0,
-                                sections=[section])
-
-        diff = diff_ledgers(tagged(10.0), tagged(5.0))
-        assert diff.has_regression
-        (row,) = diff.regressions
-        assert row.direction == "higher"
-
     def test_higher_series_appearing_from_zero_improves(self):
-        base = _ledger({"serve.delivered": (0.0, 0.0)})
-        new = _ledger({"serve.delivered": (5.0, 5.0)})
+        base = _ledger({"delivered": (0.0, 0.0)})
+        new = _ledger({"delivered": (5.0, 5.0)})
         diff = diff_ledgers(base, new)
         assert not diff.has_regression
-        assert [row.series for row in diff.improvements] == [
-            "serve.delivered"
-        ]
+        assert [row.series for row in diff.improvements] == ["delivered"]
 
     def test_series_direction_helper(self):
-        assert series_direction("a.throughput_pps") == "higher"
+        assert series_direction("throughput_pps") == "higher"
         assert series_direction("slo.compliance") == "higher"
         assert series_direction("tm.occupancy") == "lower"
-        assert series_direction("x", {"direction": "higher"}) == "higher"
-        assert series_direction("x", {}, {"direction": "higher"}) == "higher"
+        # Exact names only: a name that merely contains one is lower.
+        assert series_direction("a.throughput_pps") == "lower"
 
     def test_direction_in_json_rows(self):
-        base = _ledger({"serve.throughput_pps": (10.0, 10.0)})
+        base = _ledger({"throughput_pps": (10.0, 10.0)})
         diff = diff_ledgers(base, base)
         payload = diff.to_json()
         (row,) = payload["rows"]
         assert row["direction"] == "higher"
-
-    def test_serve_schema_loads_and_diffs(self, tmp_path):
-        ledger = _ledger({"serve.delivered": (5.0, 5.0)})
-        ledger["schema"] = SERVE_LEDGER_SCHEMA
-        path = write_ledger(tmp_path / "serve.json", ledger)
-        loaded = load_ledger(path)
-        assert loaded["schema"] == SERVE_LEDGER_SCHEMA
-        assert diff_ledgers(loaded, loaded).exit_code == 0
 
 
 class TestCLI:
@@ -448,7 +445,8 @@ class TestBaselineByteIdentity:
     @pytest.mark.parametrize("baseline_name", sorted(CLI_ROUTES))
     def test_cli_route_matches_baseline(self, tmp_path, capsys, baseline_name):
         """The same baselines through ``main()``: the CLI hands each
-        runner the values that the direct calls pass."""
+        runner the values that the direct calls pass, and the ledger it
+        writes diffs against itself through the one loader."""
         written, argv = self.CLI_ROUTES[baseline_name]
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         assert main(["--json", *argv]) == 0
@@ -456,14 +454,17 @@ class TestBaselineByteIdentity:
         self._assert_byte_identical(
             tmp_path, baseline_name, load_ledger(tmp_path / written)
         )
+        out = str(tmp_path / written)
+        assert main(["--json", "diff", out, out]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows and {row["verdict"] for row in rows} == {"unchanged"}
 
 
 class TestStatefulLedgerFamily:
-    """``repro.stateful_ledger/1`` joins the diffable ledger family."""
+    """Stateful ledgers load and diff like every other run ledger."""
 
     def test_load_ledger_accepts_stateful_schema(self, tmp_path):
         from repro.stateful.runner import run_stateful
-        from repro.telemetry.ledger import STATEFUL_LEDGER_SCHEMA
 
         path = tmp_path / "stateful.json"
         run_stateful(
@@ -471,7 +472,7 @@ class TestStatefulLedgerFamily:
             ledger_out=path,
         )
         document = load_ledger(path)
-        assert document["schema"] == STATEFUL_LEDGER_SCHEMA
+        assert document["schema"] == LEDGER_SCHEMA
 
     def test_quality_metrics_direction_markers(self):
         for name in ("hit_rate", "detection_rate", "goodput_pps"):
@@ -490,13 +491,11 @@ class TestStatefulLedgerFamily:
         assert row.direction == "higher"
 
     def test_hit_rate_increase_improves(self):
-        base = _ledger({"cache.hit_rate": (0.4, 0.4)})
-        new = _ledger({"cache.hit_rate": (0.8, 0.8)})
+        base = _ledger({"hit_rate": (0.4, 0.4)})
+        new = _ledger({"hit_rate": (0.8, 0.8)})
         diff = diff_ledgers(base, new)
         assert not diff.has_regression
-        assert [row.series for row in diff.improvements] == [
-            "cache.hit_rate"
-        ]
+        assert [row.series for row in diff.improvements] == ["hit_rate"]
 
     def test_stateful_baseline_tokenbucket(self, tmp_path):
         from repro.stateful.runner import run_stateful

@@ -270,4 +270,5 @@ class TestExports:
         ]
         assert len(keys) == len(set(keys))
         (section,) = run.sections
-        assert len(keys) == len(section.monitor) * len(section.monitor.names)
+        monitor = section.telemetry.monitor
+        assert len(keys) == len(monitor) * len(monitor.names)

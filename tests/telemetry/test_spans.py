@@ -26,11 +26,11 @@ from repro.errors import ConfigError
 from repro.fabric import run_fabric
 from repro.telemetry import Telemetry
 from repro.telemetry.ledger import (
-    SPAN_LEDGER_SCHEMA,
+    LEDGER_SCHEMA,
+    build_ledger,
     diff_ledgers,
     load_ledger,
     series_direction,
-    write_ledger,
 )
 from repro.telemetry.sampler import SpanSampler, TelemetryLevel
 from repro.telemetry.spans import (
@@ -38,9 +38,9 @@ from repro.telemetry.spans import (
     SPAN_HOPS,
     SpanRecord,
     SpanRecorder,
-    build_span_ledger,
     coflow_critical_paths,
     span_chrome_events,
+    span_sections,
 )
 from repro.units import GBPS
 
@@ -49,6 +49,17 @@ def _strip_sha(ledger: dict) -> str:
     doc = dict(ledger)
     doc.pop("git_sha", None)
     return json.dumps(doc, sort_keys=True)
+
+
+def _span_ledger(recorder: SpanRecorder, span_coflows=None) -> dict:
+    """One target's span ledger, built as ``repro spans`` builds it."""
+    sections, paths = span_sections(recorder, span_coflows or {})
+    return build_ledger(
+        "fabric-allreduce",
+        {"seed": 0},
+        sections,
+        critical_paths=[path.to_json() for path in paths],
+    )
 
 
 def _sampled_fabric(target, sample=4, seed=0, workload="fabric-allreduce"):
@@ -218,50 +229,25 @@ class TestSpanLedgerDeterminism:
         docs = []
         for _ in range(2):
             recorder, run = _sampled_fabric(target, sample=8)
-            docs.append(
-                build_span_ledger(
-                    "fabric-allreduce",
-                    recorder,
-                    seed=0,
-                    span_coflows=run.span_coflows,
-                )
-            )
+            docs.append(_span_ledger(recorder, run.span_coflows))
         assert _strip_sha(docs[0]) == _strip_sha(docs[1])
 
     def test_ledger_shape(self, adcp_fabric):
         recorder, run = adcp_fabric
-        doc = build_span_ledger(
-            "fabric-allreduce",
-            recorder,
-            seed=0,
-            span_coflows=run.span_coflows,
-        )
-        assert doc["schema"] == SPAN_LEDGER_SCHEMA
+        doc = _span_ledger(recorder, run.span_coflows)
         labels = [section["label"] for section in doc["sections"]]
         assert "spans" in labels and "critical_path" in labels
         overview = next(
             s for s in doc["sections"] if s["label"] == "spans"
         )
         coverage = overview["series"]["span.coverage"]
-        assert coverage["direction"] == "higher"
         assert 0.0 < coverage["mean"] <= 1.0
-        assert len(doc["spans"]) == len(recorder.records)
+        assert doc["critical_paths"]
 
 
 class TestSpanLedgerDiff:
     """Satellite 3: span ledgers flow through ``load_ledger`` and
     ``repro diff`` with the right improvement directions."""
-
-    def test_load_accepts_span_schema(self, tmp_path, adcp_fabric):
-        recorder, run = adcp_fabric
-        doc = build_span_ledger(
-            "fabric-allreduce",
-            recorder,
-            seed=0,
-            span_coflows=run.span_coflows,
-        )
-        path = write_ledger(tmp_path / "spans.json", doc)
-        assert load_ledger(path)["schema"] == SPAN_LEDGER_SCHEMA
 
     def test_load_rejects_foreign_schema(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -271,12 +257,7 @@ class TestSpanLedgerDiff:
 
     def test_coverage_drop_is_a_regression(self, adcp_fabric):
         recorder, run = adcp_fabric
-        base = build_span_ledger(
-            "fabric-allreduce",
-            recorder,
-            seed=0,
-            span_coflows=run.span_coflows,
-        )
+        base = _span_ledger(recorder, run.span_coflows)
         worse = json.loads(json.dumps(base))
         overview = next(
             s for s in worse["sections"] if s["label"] == "spans"
@@ -291,12 +272,7 @@ class TestSpanLedgerDiff:
 
     def test_hop_duration_growth_is_a_regression(self, adcp_fabric):
         recorder, run = adcp_fabric
-        base = build_span_ledger(
-            "fabric-allreduce",
-            recorder,
-            seed=0,
-            span_coflows=run.span_coflows,
-        )
+        base = _span_ledger(recorder, run.span_coflows)
         worse = json.loads(json.dumps(base))
         section = next(
             s
@@ -313,12 +289,8 @@ class TestSpanLedgerDiff:
         )
 
     def test_direction_metadata(self):
-        assert (
-            series_direction("span.coverage", {"direction": "higher"})
-            == "higher"
-        )
-        assert series_direction("span.ingress_queue_s", {}) == "lower"
-        assert series_direction("sampled_events_per_sec", {}) == "higher"
+        assert series_direction("span.coverage") == "higher"
+        assert series_direction("span.ingress_queue_s") == "lower"
 
 
 class TestCriticalPath:
@@ -395,8 +367,8 @@ class TestProfilerReconciliation:
 
     def test_fabric_wide_totals_match(self, reconciled):
         spans, profile = reconciled
-        ledger = build_span_ledger("adcp", spans, seed=0)
-        (section,) = [s for s in ledger["sections"] if s["label"] == "adcp"]
+        sections, _ = span_sections(spans, {})
+        (section,) = [s for s in sections if s["label"] == "adcp"]
         series = section["series"]
         assert set(series) == {
             f"span.{hop}_s" for hop in LEDGER_HOPS if hop != "link"
@@ -473,7 +445,7 @@ class TestRunSpans:
         )
         assert [s.target for s in run.sections] == ["adcp", "rmt"]
         ledger = load_ledger(run.ledger_path)
-        assert ledger["schema"] == SPAN_LEDGER_SCHEMA
+        assert ledger["schema"] == LEDGER_SCHEMA
         labels = [s["label"] for s in ledger["sections"]]
         assert "adcp-spans" in labels and "rmt-spans" in labels
         trace = json.loads(
